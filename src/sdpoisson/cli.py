@@ -16,7 +16,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -33,6 +33,7 @@ from .harness import (
     sample_correlation,
 )
 from .pmf import joint_pmf, pmf_table
+from .process import simulate_path
 from .special import kummer_elementary, kummer_series
 
 EX_OK = 0
@@ -65,29 +66,11 @@ class RunConfig:
     options: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "command": self.command,
-            "lam": self.lam,
-            "mu": self.mu,
-            "a": self.a,
-            "seed": self.seed,
-            "output": self.output,
-            "fmt": self.fmt,
-            "options": dict(self.options),
-        }
+        return asdict(self)  # copies the options dict
 
     @staticmethod
     def from_dict(data: dict) -> "RunConfig":
-        return RunConfig(
-            command=data["command"],
-            lam=data["lam"],
-            mu=data["mu"],
-            a=data["a"],
-            seed=data["seed"],
-            output=data["output"],
-            fmt=data["fmt"],
-            options=dict(data["options"]),
-        )
+        return RunConfig(**{**data, "options": dict(data["options"])})
 
 
 class _Parser(argparse.ArgumentParser):
@@ -171,29 +154,37 @@ def _build_parser() -> _Parser:
     p_ver = sub.add_parser("verify", help="run the oracle and Monte Carlo check suite")
     add_common(p_ver)
     p_ver.add_argument("--samples", type=int, default=200_000)
+    # --config keys are the long flag names of every command, each mapped
+    # to its argparse action, so the file takes the flags' types and choices
+    parser.config_flags = {
+        opt[2:]: act
+        for p in sub.choices.values()
+        for act in p._actions
+        for opt in act.option_strings
+        if opt.startswith("--") and act.dest not in ("help", "config")
+    }
     return parser
 
 
-def _apply_config_file(args: argparse.Namespace, argv: list[str]) -> None:
+def _apply_config_file(
+    flags: dict[str, argparse.Action], args: argparse.Namespace, argv: list[str]
+) -> None:
     if getattr(args, "config", None) is None:
         return
     overrides = _read_config_file(args.config)
-    flag_types = {
-        "lambda": ("lam", float), "mu": ("mu", float), "a": ("a", float),
-        "seed": ("seed", int), "output": ("output", str), "format": ("fmt", str),
-        "n": ("n", int), "m": ("m", int), "s": ("s", float), "t": ("t", float),
-        "m-max": ("m_max", int), "n-max": ("n_max", int), "method": ("method", str),
-        "copula": ("copula", str), "b": ("b", float), "grid": ("grid", int),
-        "samples": ("samples", int),
-    }
     given = {tok.split("=")[0].lstrip("-") for tok in argv if tok.startswith("--")}
     for key, raw in overrides.items():
-        if key not in flag_types:
+        if key not in flags:
             raise DomainError(f"unknown config key {key!r}")
-        dest, conv = flag_types[key]
-        if key in given or not hasattr(args, dest):
+        act = flags[key]
+        if key in given or not hasattr(args, act.dest):
             continue  # explicit flags win; irrelevant keys for the command are ignored
-        setattr(args, dest, conv(raw))
+        value = (act.type or str)(raw)
+        if act.choices is not None and value not in act.choices:
+            raise DomainError(
+                f"config key {key!r}: {raw!r} is not one of {', '.join(act.choices)}"
+            )
+        setattr(args, act.dest, value)
 
 
 def _run_config(args: argparse.Namespace) -> RunConfig:
@@ -216,12 +207,9 @@ def _out_path(config: RunConfig, suffix: str = "", ext: str | None = None) -> Pa
 def cmd_simulate(config: RunConfig) -> int:
     params = ModelParams(lam=config.lam, mu=config.mu, a=config.a)
     n = int(config.options["n"])
-    if n < 1:
-        raise DomainError(f"--n must be >= 1, got {n}")
-    rng = np.random.default_rng(config.seed)
-    x, y, z, b = sample_triples(params, n, rng)
-    t_arr = np.concatenate([[0.0], np.cumsum(x)])
-    s_arr = (params.lam / params.mu) * np.concatenate([[0.0], np.cumsum(y)])
+    path = simulate_path(params, n, config.seed)
+    x, y, z = path.x_steps, path.y_steps, path.z_steps
+    t_arr, s_arr = path.t_arrivals, path.s_arrivals
     idx = np.arange(n + 1)
     t_centered = t_arr - idx / params.lam
     s_centered = s_arr - idx / params.mu
@@ -543,7 +531,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        _apply_config_file(args, argv)
+        _apply_config_file(parser.config_flags, args, argv)
         config = _run_config(args)
         ModelParams(lam=config.lam, mu=config.mu, a=config.a)  # domain gate
     except (DomainError, OSError, ValueError) as exc:

@@ -83,9 +83,10 @@ class CorrelationTriple:
 def sample_triple(params: ModelParams, rng) -> TripleSample:
     """Draw one (x, y, z, b) with y, z ~ Exp(lam) and P(b = 1) = 1 - a.
 
-    Consumes exactly three variates from ``rng`` in fixed order -- one
-    uniform for b, then two exponentials for y and z -- so parallel
-    substreams stay aligned regardless of the outcome of b.
+    Consumes three variates whatever the outcome of b.  A single triple
+    matches ``sample_triples(params, 1, rng)``; for more than one, the
+    block stream of :func:`sample_triples` is the package's contract and
+    every renewal path draws through it.
     """
     a = params.a
     b = 1 if rng.random() < 1.0 - a else 0
@@ -95,21 +96,24 @@ def sample_triple(params: ModelParams, rng) -> TripleSample:
     return TripleSample(x=a * y + b * z, y=y, z=z, b=b)
 
 
-def sample_triples(params: ModelParams, size: int, rng) -> tuple[np.ndarray, ...]:
-    """Vectorized :func:`sample_triple`: returns arrays (x, y, z, b).
+def sample_triples(params: ModelParams, size, rng) -> tuple[np.ndarray, ...]:
+    """Arrays (x, y, z, b) of i.i.d. triples; the package's stream contract.
 
-    Draws three arrays in fixed order (uniforms for b, exponentials for y,
-    exponentials for z); deterministic for a given generator state.
+    ``size`` is a count or an array shape.  The generator is consumed in
+    three blocks of that shape, in fixed order: uniforms for b, then
+    exponentials for y, then exponentials for z.  ``simulate_path``,
+    ``sdpoisson simulate`` and the Monte Carlo kernel all draw through
+    here, so one seed denotes the same triples in each.
     """
-    if size < 0:
+    if np.any(np.asarray(size) < 0):
         raise DomainError(f"size must be >= 0, got {size}")
     a = params.a
-    b = (rng.random(size) < 1.0 - a).astype(np.int64)
+    accept = rng.random(size) < 1.0 - a
     scale = 1.0 / params.lam
     y = rng.exponential(scale, size)
     z = rng.exponential(scale, size)
-    x = a * y + b * z
-    return x, y, z, b
+    x = a * y + accept * z
+    return x, y, z, accept.astype(np.int64)
 
 
 def sample_pair_independent(lam: float, rng) -> tuple[float, float]:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .exponential import ModelParams
+from .exponential import ModelParams, sample_triples
 
 __all__ = [
     "McEstimate",
@@ -154,10 +154,10 @@ def _count_grid(
 ) -> np.ndarray:
     """Counts of {M(s)=m, N(t)=n} per (s,t) point over one seeded stream.
 
-    Per batch the generator is consumed in fixed order: uniforms for the
-    acceptance indicators, exponentials for y, exponentials for z.  Counts
-    beyond the requested block are accumulated in an overflow row/column
-    so the returned array always totals n_samples per point.
+    Each batch is one ``sample_triples(params, (batch, k_renewals), rng)``
+    draw, so the stream follows that function's contract.  Counts beyond
+    the requested block are accumulated in an overflow row/column so the
+    returned array always totals n_samples per point.
     """
     rng = np.random.default_rng(seed_seq)
     horizon_t = max(t for _, t in points)
@@ -168,18 +168,12 @@ def _count_grid(
         renewals_for_horizon(params.lam, horizon_t),
         renewals_for_horizon(params.mu, horizon_s),
     )
-    a = params.a
-    scale = 1.0 / params.lam
     counts = np.zeros((len(points), m_max + 2, n_max + 2), dtype=np.int64)
     done = 0
     while done < n_samples:
         batch = min(_BATCH, n_samples - done)
         done += batch
-        u = rng.random((batch, k_renewals))
-        b = u < (1.0 - a)
-        y = rng.exponential(scale, (batch, k_renewals))
-        z = rng.exponential(scale, (batch, k_renewals))
-        x = a * y + b * z
+        x, y = sample_triples(params, (batch, k_renewals), rng)[:2]
         t_arr = np.cumsum(x, axis=1)
         s_arr = (params.lam / params.mu) * np.cumsum(y, axis=1)
         for i, (s_q, t_q) in enumerate(points):

@@ -485,30 +485,17 @@ def quadrature_term(
 # Largest index max(m, n) + 1 for which the closed forms hold 1e-8
 # absolute accuracy against the quadrature oracle, measured on the box
 # lam*t <= 6, mu*s <= 6 for a in [0.05, 0.95] (worst observed gap 7e-11;
-# tests/test_stability.py reproduces the measurement).  Beyond this box
-# the binding variable is the magnitude of the reduced coordinates, not
-# the index: the per-evaluation cancellation guard (``CANCEL_MAG_LIMIT``)
-# catches those cases and reroutes auto mode to quadrature.
-_STABLE_LIMITS: tuple[tuple[float, int], ...] = (
-    (0.05, 48),
-    (0.10, 48),
-    (0.20, 48),
-    (0.30, 48),
-    (0.50, 48),
-    (0.70, 48),
-    (0.80, 48),
-    (0.90, 48),
-    (0.95, 48),
-    (1.00, 48),
-)
+# tests/test_stability.py reproduces the measurement).  The measured limit
+# is the same at every a.  Beyond this box the binding variable is the
+# magnitude of the reduced coordinates, not the index: the per-evaluation
+# cancellation guard (``CANCEL_MAG_LIMIT``) catches those cases and
+# reroutes auto mode to quadrature.
+_STABLE_LIMIT = 48
 
 
 def closed_form_stable_limit(a: float) -> int:
     """Largest pmf index trusted to the closed forms at this a (auto mode)."""
-    for threshold, limit in _STABLE_LIMITS:
-        if a <= threshold:
-            return limit
-    return _STABLE_LIMITS[-1][1]
+    return _STABLE_LIMIT
 
 
 def _closed_raw(m: int, n: int, y: float, z: float, a: float) -> tuple[float, float]:

@@ -19,7 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, PathExhaustedError
-from .exponential import ModelParams, sample_triple
+from .exponential import ModelParams, sample_triples
+from .exponential import sample_triple  # noqa: F401  perfbench/tracing.py wraps this name
 from .special import AtomPlusDensity, erlang_mixture_density
 
 __all__ = ["RenewalPath", "simulate_path", "count_at", "compensated_at", "zeta_pmf_mixture"]
@@ -58,7 +59,8 @@ def simulate_path(params: ModelParams, n_renewals: int, seed: int) -> RenewalPat
 
     Renewal-count-driven by design: queries beyond the last arrival raise
     instead of silently extending the path, so a (params, n_renewals,
-    seed) triple always denotes the same object.
+    seed) triple always denotes the same object.  The steps are
+    ``sample_triples(params, n_renewals, default_rng(seed))``.
     """
     rng = np.random.default_rng(seed)
     return _simulate_with_rng(params, n_renewals, rng, seed)
@@ -67,13 +69,7 @@ def simulate_path(params: ModelParams, n_renewals: int, seed: int) -> RenewalPat
 def _simulate_with_rng(params: ModelParams, n_renewals: int, rng, seed: int) -> RenewalPath:
     if n_renewals < 1:
         raise DomainError(f"n_renewals must be >= 1, got {n_renewals}")
-    x = np.empty(n_renewals)
-    y = np.empty(n_renewals)
-    z = np.empty(n_renewals)
-    b = np.empty(n_renewals, dtype=np.int64)
-    for k in range(n_renewals):
-        trip = sample_triple(params, rng)
-        x[k], y[k], z[k], b[k] = trip.x, trip.y, trip.z, trip.b
+    x, y, z, b = sample_triples(params, n_renewals, rng)
 
     zero = np.zeros(1)
     t_arr = np.concatenate([zero, np.cumsum(x)])

@@ -207,6 +207,15 @@ class TestConfigPlumbing:
                     "--config", str(cfg)])
         assert code == EX_USAGE
 
+    @pytest.mark.parametrize("line", ["copula=gumbelx", "format=xml"])
+    def test_bad_config_choice_is_usage_error(self, tmp_path, line):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(line + "\n")
+        out = tmp_path / "cop.xml"
+        code = run(["copula", "--grid", "3", "--config", str(cfg), "--output", str(out)])
+        assert code == EX_USAGE
+        assert not out.exists()
+
     def test_runconfig_round_trip(self):
         config = RunConfig(
             command="pmf", lam=1.5, mu=0.5, a=0.3, seed=11, output="out.csv",

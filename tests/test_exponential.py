@@ -94,11 +94,27 @@ class TestSampleTriple:
         assert abs(est_xy.value - a) < 3.0 * est_xy.std_error
         assert abs(est_xz.value - (1.0 - a)) < 3.0 * est_xz.std_error
 
+    def test_block_shape_keeps_the_stream(self):
+        # a shaped draw is the flat draw of the same length, reshaped
+        params = ModelParams(1.2, 1.0, 0.4)
+        flat = sample_triples(params, 12, np.random.default_rng(9))
+        shaped = sample_triples(params, (3, 4), np.random.default_rng(9))
+        for f, s in zip(flat, shaped):
+            assert s.shape == (3, 4)
+            assert np.array_equal(f.reshape(3, 4), s)
+
+    def test_negative_size_rejected(self):
+        with pytest.raises(DomainError):
+            sample_triples(ModelParams(1.0, 1.0, 0.5), (2, -1), np.random.default_rng(0))
+
     def test_scalar_and_vector_samplers_share_stream_layout(self):
         params = ModelParams(1.0, 1.0, 0.25)
         scalar_rng = np.random.default_rng(5)
         trips = [sample_triple(params, scalar_rng) for _ in range(4)]
         assert all(t.x == params.a * t.y + t.b * t.z for t in trips)
+        # one triple is the same three draws in either sampler
+        block = sample_triples(params, 1, np.random.default_rng(5))
+        assert tuple(v[0] for v in block) == (trips[0].x, trips[0].y, trips[0].z, trips[0].b)
 
 
 class TestLimitSamplers:

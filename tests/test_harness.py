@@ -56,6 +56,17 @@ class TestReproducibility:
         f2 = mc_joint_pmf_grid(PARAMS, points, 3, 3, 10_000, seed=2)
         assert np.array_equal(f1, f2)
 
+    def test_counts_pinned(self):
+        # Counts recorded when the kernel drew its batches inline.  A change
+        # to the Monte Carlo stream must show up here as a deliberate edit.
+        params = ModelParams(1.0, 1.5, 0.4)
+        freq = mc_joint_pmf_grid(params, [(1.0, 0.5), (2.0, 1.5)], 2, 2, 2000, seed=2024)
+        counts = [
+            [[441, 0, 0, 0], [409, 291, 0, 0], [228, 161, 80, 0], [174, 116, 70, 30]],
+            [[76, 20, 2, 0], [88, 172, 32, 4], [106, 161, 176, 17], [209, 314, 271, 352]],
+        ]
+        assert np.array_equal(freq, np.array(counts) / 2000)
+
 
 class TestParallelMerge:
     def test_four_worker_merge_equals_manual_pooling(self):

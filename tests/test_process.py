@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 from scipy.stats import chi2
 
+from sdpoisson.cli import main
 from sdpoisson.errors import DomainError, PathExhaustedError
-from sdpoisson.exponential import ModelParams
+from sdpoisson.exponential import ModelParams, sample_triples
 from sdpoisson.harness import mc_joint_pmf_grid, renewals_for_horizon
 from sdpoisson.process import (
     _simulate_with_rng,
@@ -27,11 +28,15 @@ class _ScriptedRng:
         self._u = list(uniforms)
         self._e = list(exponentials)
 
-    def random(self):
-        return self._u.pop(0)
+    @staticmethod
+    def _take(queue, size):
+        return np.array([queue.pop(0) for _ in range(size)])
 
-    def exponential(self, scale):
-        return self._e.pop(0) * scale
+    def random(self, size):
+        return self._take(self._u, size)
+
+    def exponential(self, scale, size):
+        return self._take(self._e, size) * scale
 
 
 def _marginal_counts(params, horizon, n_paths, seed, axis):
@@ -50,6 +55,24 @@ class TestSimulatePath:
         assert path.t_arrivals.tolist() == [0.0, 1.0]
         assert path.s_arrivals.tolist() == [0.0, 2.0]
         assert path.b_count.tolist() == [0, 0]
+
+    @pytest.mark.parametrize("seed", [7, 2024])
+    def test_one_stream_for_library_and_cli(self, seed, tmp_path):
+        # simulate_path, sample_triples and `sdpoisson simulate` agree on
+        # what a seed means: the path's steps are the block draw and its
+        # arrival chains are the CLI's t_n/s_n columns, bit for bit.
+        params = ModelParams(1.3, 0.7, 0.35)
+        n = 40
+        path = simulate_path(params, n, seed)
+        x, y, _, _ = sample_triples(params, n, np.random.default_rng(seed))
+        assert np.array_equal(path.x_steps, x)
+        assert np.array_equal(path.y_steps, y)
+        out = tmp_path / "sim.csv"
+        assert main(["simulate", "--lambda", "1.3", "--mu", "0.7", "--a", "0.35",
+                     "--n", str(n), "--seed", str(seed), "--output", str(out)]) == 0
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        assert [float(r[3]) for r in rows] == path.t_arrivals[1:].tolist()
+        assert [float(r[4]) for r in rows] == path.s_arrivals[1:].tolist()
 
     def test_rejects_zero_renewals(self):
         with pytest.raises(DomainError):

@@ -1,10 +1,10 @@
 """Reproduction of the closed-form stability measurement.
 
-The shipped limits in ``sdpoisson.pmf._STABLE_LIMITS`` (index 48 across
+The shipped limit ``sdpoisson.pmf._STABLE_LIMIT`` (index 48 at every
 a, on the box lam*t <= 6, mu*s <= 6) and the cancellation-guard
 threshold ``CANCEL_MAG_LIMIT`` were measured against the quadrature
 oracle.  This module re-verifies a subsample of that measurement so the
-table cannot silently rot, and demonstrates the failure mode the guard
+limit cannot silently rot, and demonstrates the failure mode the guard
 exists for: far outside the box the closed forms lose digits and auto
 mode must reroute.
 """
