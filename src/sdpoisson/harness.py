@@ -33,8 +33,8 @@ __all__ = [
     "renewals_for_horizon",
 ]
 
-# Paths per simulation batch; keeps the (batch x renewals) draw arrays in
-# tens of megabytes.
+# Paths per simulation batch.  Each (batch x renewals) float64 draw array
+# is 0.8 MB per renewal: about 117 MB at horizon 40 (146 renewals).
 _BATCH = 100_000
 
 

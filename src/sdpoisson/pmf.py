@@ -20,8 +20,9 @@ h_n, evaluated by adaptive quadrature with the atom at 0+ handled
 analytically.  The closed forms are exact but alternate in sign with
 a^(-j) factors, so they lose digits for small a or large indices; the
 quadrature route is the accuracy authority there.  ``method="auto"``
-switches on a measured stability table plus a per-evaluation
-cancellation guard.
+switches on one measured index limit plus a per-evaluation
+cancellation guard.  Both forms assemble p_{m,n} from the same list of
+signed terms, so every route evaluates both branches at z = 0.
 """
 
 from __future__ import annotations
@@ -78,6 +79,10 @@ CANCEL_MAG_LIMIT = 8.0
 # Table cells whose marginal Poisson bound is below this are exactly the
 # tails the deficit bound already accounts for; they are reported as 0.
 TABLE_PRUNE_TOL = 1e-18
+# Round-off allowed on top of the tail bound in a table's deficit (at
+# s = t = 5, 30 x 30 closed-form cells the deficit is 9.8e-15 against a
+# bound of 9.0e-15); pmf_table adds 4 * quad_tol per cell for quadrature.
+_DEFICIT_SLACK = 1e-12
 
 
 class Region(enum.Enum):
@@ -293,44 +298,58 @@ def _c_closed(m: int, n: int, y: float, z: float, a: float) -> tuple[float, floa
     return acc.value, acc.max_mag
 
 
-def _require_region(coords: ReducedCoords, wanted: Region, term: str) -> None:
-    if coords.region not in (wanted, Region.BOUNDARY):
+# term -> (side, index rule, rule check): the region each term's formula
+# lives on and the (m, n) it is defined for.  On the boundary z = 0 every
+# term is allowed, with z clamped to its side.
+_TERMS = {
+    "Q": (Region.NEG_Z, "m >= n >= 0", lambda m, n: m >= n >= 0),
+    "A": (Region.POS_Z, "m, n >= 0", lambda m, n: min(m, n) >= 0),
+    "B": (Region.POS_Z, "n >= m >= 0", lambda m, n: n >= m >= 0),
+    "C": (Region.POS_Z, "m >= n >= 0", lambda m, n: m >= n >= 0),
+}
+
+
+def _side_z(coords: ReducedCoords, side: Region) -> float:
+    # z clamped to the closure of ``side``.
+    return min(coords.z, 0.0) if side == Region.NEG_Z else max(coords.z, 0.0)
+
+
+def _term_z(term: str, m: int, n: int, coords: ReducedCoords) -> float:
+    # Validate ``term`` at (m, n) on ``coords``; return z clamped to its side.
+    if term not in _TERMS:
+        raise DomainError(f"term must be one of 'Q', 'A', 'B', 'C', got {term!r}")
+    side, rule, holds = _TERMS[term]
+    if not holds(m, n):
+        raise DomainError(f"{term} requires {rule}, got m={m}, n={n}")
+    if coords.region not in (side, Region.BOUNDARY):
         raise DomainError(
-            f"{term} is defined for region {wanted.value} (or the boundary), "
+            f"{term} is defined for region {side.value} (or the boundary), "
             f"got {coords.region.value}"
         )
+    return _side_z(coords, side)
 
 
 def q_closed(m: int, n: int, coords: ReducedCoords, a: float) -> float:
     """Closed form of the Q term (z <= 0 branch); requires m >= n >= 0."""
-    if not m >= n >= 0:
-        raise DomainError(f"Q requires m >= n >= 0, got m={m}, n={n}")
-    _require_region(coords, Region.NEG_Z, "Q")
-    return _q_closed(m, n, coords.y, min(coords.z, 0.0), a)[0]
+    return _q_closed(m, n, coords.y, _term_z("Q", m, n, coords), a)[0]
 
 
 def a_closed(m: int, n: int, coords: ReducedCoords, a: float) -> float:
     """Closed form of the A term (z >= 0 branch); defined for all m, n >= 0."""
-    if m < 0 or n < 0:
-        raise DomainError(f"A requires m, n >= 0, got m={m}, n={n}")
-    _require_region(coords, Region.POS_Z, "A")
-    return _a_closed(m, n, coords.y, max(coords.z, 0.0), a)[0]
+    return _a_closed(m, n, coords.y, _term_z("A", m, n, coords), a)[0]
 
 
 def b_closed(m: int, n: int, coords: ReducedCoords, a: float) -> float:
     """Closed form of the B term (z >= 0 branch); requires n >= m >= 0."""
-    if not n >= m >= 0:
-        raise DomainError(f"B requires n >= m >= 0, got m={m}, n={n}")
-    _require_region(coords, Region.POS_Z, "B")
-    return _b_closed(m, n, coords.y, max(coords.z, 0.0), a)[0]
+    return _b_closed(m, n, coords.y, _term_z("B", m, n, coords), a)[0]
 
 
 def c_closed(m: int, n: int, coords: ReducedCoords, a: float) -> float:
     """Closed form of the C term (z >= 0 branch); requires m >= n >= 0."""
-    if not m >= n >= 0:
-        raise DomainError(f"C requires m >= n >= 0, got m={m}, n={n}")
-    _require_region(coords, Region.POS_Z, "C")
-    return _c_closed(m, n, coords.y, max(coords.z, 0.0), a)[0]
+    return _c_closed(m, n, coords.y, _term_z("C", m, n, coords), a)[0]
+
+
+_CLOSED = {"Q": _q_closed, "A": _a_closed, "B": _b_closed, "C": _c_closed}
 
 
 # ---------------------------------------------------------------------------
@@ -377,21 +396,11 @@ def _pair_sum(m: int, n: int, w: float, y: float, z: float) -> float:
 
 
 def _scaled_integral(fn, lo: float, hi: float, tol: float, scale: float, offset: float) -> float:
-    # offset + scale * integral, with integration failures re-raised so the
-    # best estimate refers to the assembled term, not the bare integral.
-    try:
-        return offset + scale * _integrate(fn, lo, hi, tol)
-    except IntegrationError as err:
-        raise IntegrationError(
-            str(err),
-            best_estimate=offset + scale * err.best_estimate,
-            error_bound=abs(scale) * err.error_bound,
-        ) from None
-
-
-def _integrate(fn, lo: float, hi: float, tol: float) -> float:
+    # offset + scale * (integral of fn over [lo, hi] to absolute accuracy
+    # tol); a failure's best estimate and error bound refer to the
+    # assembled term, not the bare integral.
     if hi <= lo:
-        return 0.0
+        return offset + scale * 0.0
     value, abserr = quad(fn, lo, hi, epsabs=tol * 0.5, epsrel=1e-12, limit=200)
     if abserr > tol:
         # Long reduced intervals can stall the global refinement; a uniform
@@ -408,10 +417,10 @@ def _integrate(fn, lo: float, hi: float, tol: float) -> float:
             raise IntegrationError(
                 f"quadrature failed to reach tol={tol} on [{lo}, {hi}] "
                 f"(claimed error {abserr})",
-                best_estimate=value,
-                error_bound=abserr,
+                best_estimate=offset + scale * value,
+                error_bound=abs(scale) * abserr,
             )
-    return value
+    return offset + scale * value
 
 
 def quadrature_term(
@@ -425,14 +434,11 @@ def quadrature_term(
     absolute accuracy ``tol``; failure raises :class:`IntegrationError`
     carrying the best estimate.
     """
-    if tol <= 0.0:
+    if not tol > 0.0:
         raise DomainError(f"tol must be > 0, got {tol}")
-    y, z = coords.y, coords.z
+    z = _term_z(term, m, n, coords)
+    y = coords.y
     if term == "Q":
-        if not m >= n >= 0:
-            raise DomainError(f"Q requires m >= n >= 0, got m={m}, n={n}")
-        _require_region(coords, Region.NEG_Z, "Q")
-        z = min(z, 0.0)
         betas = [binom_weight(l, n, a) for l in range(n + 1)]
         atom = betas[0] * sum(
             poisson_weight(m - k, -z) * poisson_weight(k, y) for k in range(n, m + 1)
@@ -440,10 +446,6 @@ def quadrature_term(
         integrand = lambda w: _mixture_cont(n, a, betas, a * w) * _pair_sum(m, n, w, y, z)
         return _scaled_integral(integrand, 0.0, y, tol, scale=a, offset=atom)
     if term == "A":
-        if m < 0 or n < 0:
-            raise DomainError(f"A requires m, n >= 0, got m={m}, n={n}")
-        _require_region(coords, Region.POS_Z, "A")
-        z = max(z, 0.0)
         betas = [binom_weight(l, n, a) for l in range(n + 1)]
         pim = poisson_weight(m, y - z)
         return _scaled_integral(
@@ -451,10 +453,6 @@ def quadrature_term(
             scale=pim * a, offset=pim * betas[0],
         )
     if term == "B":
-        if not n >= m >= 0:
-            raise DomainError(f"B requires n >= m >= 0, got m={m}, n={n}")
-        _require_region(coords, Region.POS_Z, "B")
-        z = max(z, 0.0)
         betas = [binom_weight(l, n + 1, a) for l in range(n + 2)]
         pim = poisson_weight(m, y - z)
         atom = betas[0] * sum(poisson_weight(k, z) for k in range(n - m + 1))
@@ -465,17 +463,12 @@ def quadrature_term(
             return _mixture_cont(n + 1, a, betas, a * w) * tail
 
         return _scaled_integral(integrand, 0.0, z, tol, scale=pim * a, offset=pim * atom)
-    if term == "C":
-        if not m >= n >= 0:
-            raise DomainError(f"C requires m >= n >= 0, got m={m}, n={n}")
-        _require_region(coords, Region.POS_Z, "C")
-        z = max(z, 0.0)
-        if n == 0:
-            return 0.0
-        betas = [binom_weight(l, n, a) for l in range(n + 1)]
-        integrand = lambda w: _mixture_cont(n, a, betas, a * w) * _pair_sum(m, n, w, y, z)
-        return _scaled_integral(integrand, z, y, tol, scale=a, offset=0.0)
-    raise DomainError(f"term must be one of 'Q', 'A', 'B', 'C', got {term!r}")
+    # C
+    if n == 0:
+        return 0.0
+    betas = [binom_weight(l, n, a) for l in range(n + 1)]
+    integrand = lambda w: _mixture_cont(n, a, betas, a * w) * _pair_sum(m, n, w, y, z)
+    return _scaled_integral(integrand, z, y, tol, scale=a, offset=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -498,63 +491,41 @@ def closed_form_stable_limit(a: float) -> int:
     return _STABLE_LIMIT
 
 
-def _closed_raw(m: int, n: int, y: float, z: float, a: float) -> tuple[float, float]:
-    # Assemble p_{m,n} from the closed forms; returns (value, max term).
-    if z < 0.0:
+def _telescope(m: int, n: int, side: Region) -> tuple[tuple[int, str, int, int], ...]:
+    # The signed terms (sign, term, i, j) whose sum is p_{m,n} on ``side``.
+    # The negative side is only asked for m >= n: m < n is the zero region.
+    if side == Region.NEG_Z:
         if m == n:
-            return _q_closed(n, n, y, z, a)
-        v1, g1 = _q_closed(m, n, y, z, a)
-        v2, g2 = _q_closed(m, n + 1, y, z, a)
-        return v1 - v2, max(g1, g2)
+            return ((1, "Q", n, n),)
+        return ((1, "Q", m, n), (-1, "Q", m, n + 1))
     if n > m:
-        assert n - 1 >= m, "the n > m branch guarantees the B pairing is defined"
-        v1, g1 = _a_closed(m, n, y, z, a)
-        v2, g2 = _a_closed(m, n + 1, y, z, a)
-        v3, g3 = _b_closed(m, n, y, z, a)
-        v4, g4 = _b_closed(m, n - 1, y, z, a)
-        return v1 - v2 + v3 - v4, max(g1, g2, g3, g4)
+        return ((1, "A", m, n), (-1, "A", m, n + 1), (1, "B", m, n), (-1, "B", m, n - 1))
     if m == n:
-        v1, g1 = _a_closed(n, n, y, z, a)
-        v2, g2 = _a_closed(n, n + 1, y, z, a)
-        v3, g3 = _b_closed(n, n, y, z, a)
-        v4, g4 = _c_closed(n, n, y, z, a)
-        return v1 - v2 + v3 + v4, max(g1, g2, g3, g4)
-    v1, g1 = _a_closed(m, n, y, z, a)
-    v2, g2 = _a_closed(m, n + 1, y, z, a)
-    v3, g3 = _c_closed(m, n, y, z, a)
-    v4, g4 = _c_closed(m, n + 1, y, z, a)
-    return v1 - v2 + v3 - v4, max(g1, g2, g3, g4)
+        return ((1, "A", n, n), (-1, "A", n, n + 1), (1, "B", n, n), (1, "C", n, n))
+    return ((1, "A", m, n), (-1, "A", m, n + 1), (1, "C", m, n), (-1, "C", m, n + 1))
+
+
+def _closed_raw(
+    m: int, n: int, coords: ReducedCoords, a: float, side: Region
+) -> tuple[float, float]:
+    # Assemble p_{m,n} from the closed forms; returns (value, max term).
+    y, z = coords.y, _side_z(coords, side)
+    total = 0.0
+    max_mag = 0.0
+    for sign, term, i, j in _telescope(m, n, side):
+        v, g = _CLOSED[term](i, j, y, z, a)
+        total += sign * v
+        max_mag = max(max_mag, g)
+    return total, max_mag
 
 
 def _quadrature_raw(
     m: int, n: int, coords: ReducedCoords, a: float, tol: float, side: Region
 ) -> float:
-    if side == Region.NEG_Z:
-        if m == n:
-            return quadrature_term("Q", n, n, coords, a, tol)
-        return quadrature_term("Q", m, n, coords, a, tol) - quadrature_term(
-            "Q", m, n + 1, coords, a, tol
-        )
-    if n > m:
-        return (
-            quadrature_term("A", m, n, coords, a, tol)
-            - quadrature_term("A", m, n + 1, coords, a, tol)
-            + quadrature_term("B", m, n, coords, a, tol)
-            - quadrature_term("B", m, n - 1, coords, a, tol)
-        )
-    if m == n:
-        return (
-            quadrature_term("A", n, n, coords, a, tol)
-            - quadrature_term("A", n, n + 1, coords, a, tol)
-            + quadrature_term("B", n, n, coords, a, tol)
-            + quadrature_term("C", n, n, coords, a, tol)
-        )
-    return (
-        quadrature_term("A", m, n, coords, a, tol)
-        - quadrature_term("A", m, n + 1, coords, a, tol)
-        + quadrature_term("C", m, n, coords, a, tol)
-        - quadrature_term("C", m, n + 1, coords, a, tol)
-    )
+    total = 0.0
+    for sign, term, i, j in _telescope(m, n, side):
+        total += sign * quadrature_term(term, i, j, coords, a, tol)
+    return total
 
 
 def _one_sided_raw(
@@ -563,21 +534,24 @@ def _one_sided_raw(
 ) -> tuple[float, str]:
     # Evaluate the pmf on a definite side (z sign forced), choosing engine.
     a = params.a
-    if side == Region.NEG_Z and m < n:
-        return 0.0, "lemma-exact"
-    y = coords.y
-    z = min(coords.z, 0.0) if side == Region.NEG_Z else max(coords.z, 0.0)
     if method == "closed":
-        return _closed_raw(m, n, y, z, a)[0], "closed"
+        return _closed_raw(m, n, coords, a, side)[0], "closed"
     if method == "quadrature":
         return _quadrature_raw(m, n, coords, a, quad_tol, side), "quadrature"
     # auto: closed form inside the validated domain, quadrature outside or
     # when the cancellation guard trips.
     if max(m, n) + 1 <= closed_form_stable_limit(a):
-        value, max_mag = _closed_raw(m, n, y, z, a)
+        value, max_mag = _closed_raw(m, n, coords, a, side)
         if max_mag <= CANCEL_MAG_LIMIT:
             return value, "closed"
     return _quadrature_raw(m, n, coords, a, quad_tol, side), "quadrature"
+
+
+def _check_method(method: str, quad_tol: float) -> None:
+    if method not in ("closed", "quadrature", "auto"):
+        raise DomainError(f"method must be 'closed', 'quadrature' or 'auto', got {method!r}")
+    if not quad_tol > 0.0:
+        raise DomainError(f"quad_tol must be > 0, got {quad_tol}")
 
 
 def _finalize(
@@ -608,28 +582,30 @@ def joint_pmf(
     """Evaluate p_{m,n}(s,t) = P(M(s) = m, N(t) = n).
 
     ``method`` picks the evaluation route; ``"auto"`` uses the closed
-    forms inside their measured stability domain and quadrature outside.
+    forms below one measured index limit (unless the cancellation guard
+    trips) and quadrature otherwise.  ``quad_tol`` must be positive on
+    every route.
     In the a*mu*s >= lam*t region the m < n probabilities vanish
     identically and are returned as exact zeros without any floating
     evaluation (``method_used == "lemma-exact"``).
 
-    On the region boundary z = 0 both branch families are evaluated and
-    averaged; disagreement beyond ``BOUNDARY_AGREE_TOL`` raises
+    On the region boundary z = 0 both branch families (Q, and A/B/C) are
+    evaluated by the chosen route and averaged; disagreement beyond
+    ``BOUNDARY_AGREE_TOL`` raises
     :class:`ConsistencyError`.  With ``crosscheck=True`` the closed form
     and the quadrature oracle are both computed and a gap above 1e-6
     raises :class:`ConsistencyError`.
     """
     if m < 0 or n < 0:
         raise DomainError(f"m, n must be >= 0, got m={m}, n={n}")
-    if method not in ("closed", "quadrature", "auto"):
-        raise DomainError(f"method must be 'closed', 'quadrature' or 'auto', got {method!r}")
+    _check_method(method, quad_tol)
     coords = reduced_coords(params, s, t)
+    if m < n and coords.region != Region.POS_Z:
+        # a*mu*s >= lam*t, so the zero region applies; on the boundary the
+        # z->0+ limit of the positive branch agrees.
+        return _finalize(m, n, s, t, 0.0, "lemma-exact", None, None)
 
     if coords.region == Region.BOUNDARY:
-        if m < n:
-            # a*mu*s >= lam*t holds on the boundary, so the zero region
-            # applies; the z->0+ limit of the positive branch agrees.
-            return _finalize(m, n, s, t, 0.0, "lemma-exact", None, None)
         raw_neg, _ = _one_sided_raw(m, n, coords, params, method, quad_tol, Region.NEG_Z)
         raw_pos, _ = _one_sided_raw(m, n, coords, params, method, quad_tol, Region.POS_Z)
         if abs(raw_neg - raw_pos) > BOUNDARY_AGREE_TOL:
@@ -640,20 +616,14 @@ def joint_pmf(
         return _finalize(m, n, s, t, 0.5 * (raw_neg + raw_pos), "boundary-average", None, None)
 
     side = coords.region
-    if side == Region.NEG_Z and m < n:
-        return _finalize(m, n, s, t, 0.0, "lemma-exact", None, None)
-
     raw, used = _one_sided_raw(m, n, coords, params, method, quad_tol, side)
     closed_val = raw if used == "closed" else None
     quad_val = raw if used == "quadrature" else None
     if crosscheck:
         if closed_val is None:
-            closed_val = _closed_raw(
-                m, n, coords.y, min(coords.z, 0.0) if side == Region.NEG_Z else coords.z,
-                params.a,
-            )[0]
+            closed_val = _one_sided_raw(m, n, coords, params, "closed", quad_tol, side)[0]
         if quad_val is None:
-            quad_val = _quadrature_raw(m, n, coords, params.a, quad_tol, side)
+            quad_val = _one_sided_raw(m, n, coords, params, "quadrature", quad_tol, side)[0]
         if abs(closed_val - quad_val) > 1e-6:
             raise ConsistencyError(
                 f"closed form and quadrature disagree for (m,n)=({m},{n}) at "
@@ -671,9 +641,11 @@ def joint_pmf(
 class PmfTable:
     """Grid of p_{m,n}(s, t) for m <= m_max, n <= n_max plus bookkeeping.
 
-    ``deficit`` is 1 minus the table total; it is nonnegative (up to
-    1e-9) and bounded by the Poisson tail mass
-    P(M(s) > m_max) + P(N(t) > n_max).  Row and column sums approximate
+    ``deficit`` is 1 minus the table total.  :func:`pmf_table` checks
+    that it is nonnegative (up to 1e-9) and at most the Poisson tail mass
+    ``tail_bound`` = P(M(s) > m_max) + P(N(t) > n_max) plus a round-off
+    slack of 1e-12 + 4 * quad_tol * cells, and raises
+    :class:`ConsistencyError` otherwise.  Row and column sums approximate
     the Poisson marginals pi_m(mu s) and pi_n(lam t).
     """
 
@@ -707,6 +679,7 @@ def pmf_table(
     """
     if m_max < 0 or n_max < 0:
         raise DomainError(f"m_max, n_max must be >= 0, got {m_max}, {n_max}")
+    _check_method(method, quad_tol)
     mu_s = params.mu * s
     lam_t = params.lam * t
     pm = np.array([poisson_weight(m, mu_s) for m in range(m_max + 1)])
@@ -722,6 +695,12 @@ def pmf_table(
     tail_bound = poisson_upper_tail(m_max + 1, mu_s) + poisson_upper_tail(n_max + 1, lam_t)
     if deficit < -EPS_NUM:
         raise ConsistencyError(f"pmf table total exceeds 1 by {-deficit}")
+    slack = _DEFICIT_SLACK + 4.0 * quad_tol * values.size
+    if deficit > tail_bound + slack:
+        raise ConsistencyError(
+            f"pmf table misses {deficit} of mass, more than the Poisson tail "
+            f"bound {tail_bound} plus round-off slack {slack}"
+        )
     return PmfTable(
         params=params,
         s=s,

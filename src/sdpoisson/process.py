@@ -137,17 +137,11 @@ def zeta_pmf_mixture(n: int, params: ModelParams) -> AtomPlusDensity:
 
     An Erlang law with a binomial random index: mixture of Erl_k(lam)
     over k ~ Bin(n, 1-a), i.e. the unit-rate mixture h_n rescaled by lam.
-    n = 0 is the pure atom at 0.
+    n = 0 is the pure atom at 0 (``erlang_mixture_density(0, a)``).
     """
     if n < 0:
         raise DomainError(f"n must be >= 0, got {n}")
     lam = params.lam
-    if n == 0:
-        return AtomPlusDensity(
-            atom_weight=1.0,
-            density=lambda x: 0.0,
-            cdf=lambda x: 1.0 if x >= 0.0 else 0.0,
-        )
     base = erlang_mixture_density(n, params.a)
     return AtomPlusDensity(
         atom_weight=base.atom_weight,

@@ -1,5 +1,6 @@
 """Joint pmf: reduced coordinates, term evaluators, dispatch, and tables."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -184,6 +185,12 @@ class TestTermEvaluators:
         with pytest.raises(DomainError):
             quadrature_term("X", 1, 0, c_pos, 0.5)
 
+    @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan])
+    def test_tolerance_must_be_positive(self, tol):
+        # a NaN tolerance would switch off the accuracy check of every quad call
+        with pytest.raises(DomainError):
+            quadrature_term("Q", 3, 2, coords_at(0.8, -0.2), 0.5, tol=tol)
+
     def test_region_constraints(self):
         with pytest.raises(DomainError):
             q_closed(1, 0, coords_at(1.2, 0.2), 0.5)
@@ -314,6 +321,17 @@ class TestJointPmf:
         assert r.method_used == "boundary-average"
         assert r.value == pytest.approx(math.exp(-1.0), rel=1e-10)
 
+    def test_boundary_negative_side_evaluates_q(self):
+        # s = 1, t = 0.5 puts z exactly at 0: the closed route's negative
+        # side must be the Q family, not the positive side evaluated twice.
+        from sdpoisson.pmf import _closed_raw
+
+        coords = reduced_coords(PARAMS, 1.0, 0.5)
+        assert coords.z == 0.0
+        a = PARAMS.a
+        neg, _ = _closed_raw(2, 1, coords, a, Region.NEG_Z)
+        assert neg == q_closed(2, 1, coords, a) - q_closed(2, 2, coords, a)
+
     @pytest.mark.parametrize("a", [0.3, 0.7])
     def test_continuity_across_zero_offset(self, a):
         params = ModelParams(1.0, 1.0, a)
@@ -416,3 +434,25 @@ class TestPmfTable:
     def test_bad_block(self):
         with pytest.raises(DomainError):
             pmf_table(PARAMS, 1.0, 1.0, -1, 5)
+
+    @pytest.mark.parametrize("kwargs", [{"method": "magic"}, {"quad_tol": -1.0}])
+    def test_bad_route_rejected_when_every_cell_is_pruned(self, kwargs):
+        # at s = t = 60 every cell of the 2 x 2 block is pruned, so no
+        # per-cell check would ever see the bad argument
+        with pytest.raises(DomainError):
+            pmf_table(PARAMS, 60.0, 60.0, 1, 1, **kwargs)
+
+    def test_missing_mass_raises(self, monkeypatch):
+        import sdpoisson.pmf as pmf
+
+        real = pmf.joint_pmf
+
+        def halve_one_cell(params, m, n, s, t, **kw):
+            report = real(params, m, n, s, t, **kw)
+            if (m, n) == (1, 1):
+                report = dataclasses.replace(report, value=0.5 * report.value)
+            return report
+
+        monkeypatch.setattr(pmf, "joint_pmf", halve_one_cell)
+        with pytest.raises(ConsistencyError):
+            pmf_table(PARAMS, 1.0, 1.0, 12, 12)

@@ -27,8 +27,7 @@ def _gap_and_mag(params, s, t, m, n):
     coords = reduced_coords(params, s, t)
     side = coords.region
     assert side != Region.BOUNDARY
-    z = min(coords.z, 0.0) if side == Region.NEG_Z else max(coords.z, 0.0)
-    closed, mag = _closed_raw(m, n, coords.y, z, params.a)
+    closed, mag = _closed_raw(m, n, coords, params.a, side)
     quadr = _quadrature_raw(m, n, coords, params.a, 1e-11, side)
     return abs(closed - quadr), mag
 
