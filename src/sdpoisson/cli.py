@@ -80,14 +80,21 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EX_USAGE, f"{self.prog}: usage error: {message}\n")
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
-
-
 def _write_csv(path: Path, header: list[str], rows) -> None:
+    # Floats as %.17g (round-trip exact), everything else as str(); each
+    # row is formatted by one %-template, built once per distinct tuple of
+    # cell types.
+    templates: dict[tuple, str] = {}
     lines = [",".join(header)]
     for row in rows:
-        lines.append(",".join(_fmt(v) if isinstance(v, float) else str(v) for v in row))
+        row = tuple(row)
+        types = tuple(map(type, row))
+        template = templates.get(types)
+        if template is None:
+            template = templates[types] = ",".join(
+                "%.17g" if issubclass(t, float) else "%s" for t in types
+            )
+        lines.append(template % row)
     path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 
 

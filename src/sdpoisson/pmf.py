@@ -23,14 +23,20 @@ quadrature route is the accuracy authority there.  ``method="auto"``
 switches on one measured index limit plus a per-evaluation
 cancellation guard.  Both forms assemble p_{m,n} from the same list of
 signed terms, so every route evaluates both branches at z = 0.
+
+Within one evaluation -- one :func:`pmf_table`, or one lone
+:func:`joint_pmf` -- each telescoping term and each Kummer value is
+computed once and shared by every cell that needs it.  The memo holding
+them is dropped when that call returns; nothing is cached across calls.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import TYPE_CHECKING, Literal
 
 import numpy as np
@@ -172,61 +178,88 @@ def joint_ge_prob(m: int, n: int, rho: float, tau: float, mu: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=1 << 16)
+# One evaluation's memo: Kummer values and telescoping terms, each keyed on
+# its full inputs, so a stale hit is impossible.  ``pmf_table`` opens it
+# around its cell loop and ``joint_pmf`` around a lone call; it is dropped
+# when that call returns, so memory is bounded by one table and nothing is
+# cached across calls.  Outside an open memo every value is computed afresh.
+_MEMO: ContextVar[dict | None] = ContextVar("sdpoisson_pmf_memo", default=None)
+
+
+@contextmanager
+def _shared_terms():
+    # Open the memo unless an enclosing call already holds one.
+    if _MEMO.get() is not None:
+        yield
+        return
+    token = _MEMO.set({})
+    try:
+        yield
+    finally:
+        _MEMO.reset(token)
+
+
+def _memoized(key: tuple, compute, *args):
+    memo = _MEMO.get()
+    if memo is None:
+        return compute(*args)
+    value = memo.get(key)
+    if value is None:
+        value = memo[key] = compute(*args)
+    return value
+
+
 def _phi(alpha: int, beta: int, x: float) -> float:
-    return kummer_elementary(alpha, beta, x)
-
-
-class _TrackedSum:
-    """Neumaier-compensated accumulator that remembers the largest term."""
-
-    __slots__ = ("total", "comp", "max_mag")
-
-    def __init__(self):
-        self.total = 0.0
-        self.comp = 0.0
-        self.max_mag = 0.0
-
-    def add(self, term: float) -> None:
-        mag = abs(term)
-        if mag > self.max_mag:
-            self.max_mag = mag
-        t = self.total + term
-        if abs(self.total) >= mag:
-            self.comp += (self.total - t) + term
-        else:
-            self.comp += (term - t) + self.total
-        self.total = t
-
-    @property
-    def value(self) -> float:
-        return self.total + self.comp
+    # _memoized inlined: this is the innermost call of the closed kernels.
+    memo = _MEMO.get()
+    if memo is None:
+        return kummer_elementary(alpha, beta, x)
+    key = ("phi", alpha, beta, x)
+    value = memo.get(key)
+    if value is None:
+        value = memo[key] = kummer_elementary(alpha, beta, x)
+    return value
 
 
 def _q_closed(m: int, n: int, y: float, z: float, a: float) -> tuple[float, float]:
     # Q_{m,n}(y,z) = sum_{k=n}^{m} sum_{j=k}^{m} (-1)^(j-k) a^(-j) C(j,k)
-    #   * sum_{l=0}^{n} beta_l(n) pi_{m-j}(y-z) pi_{j+l}(a y)
-    #   * Phi(j+1; j+l+1; a y)
+    #   * sum_{l=0}^{n} beta_l(n) pi_{m-j}(y-z) phi_{j,l},
+    #   phi_{j,l} = pi_{j+l}(a y) Phi(j+1; j+l+1; a y).
     # The l = 0 term carries Phi with equal parameters, i.e. e^(a y), so
-    # pi_{j}(a y) e^(a y) = (a y)^j / j! is formed directly.
+    # phi_{j,0} = (a y)^j / j! is formed directly.
+    # Only C(j,k) depends on k, so the k-sum folds into one coefficient:
+    #   c_{j,n} = sum_{k=n}^{j} (-1)^(j-k) C(j,k) = (-1)^(j-n) C(j-1, n-1)
+    # for n >= 1 (a partial alternating sum of a binomial row), and [j = 0]
+    # for n = 0.  Hence, in O(m n) work instead of O((m-n)^2 n),
+    #   Q_{m,n} = sum_{j=n}^{m} c_{j,n} a^(-j) pi_{m-j}(y-z) T_{j,n},
+    #   T_{j,n} = sum_{l=0}^{n} beta_l(n) phi_{j,l}.
+    # The guard magnitude is still the largest |term| of the triple sum:
+    # over k in [n, j], C(j,k) peaks at k = max(n, floor(j/2)), and the
+    # peak term is multiplied in the triple sum's order, so max_mag is the
+    # same float as the term-by-term maximum.
     ay = a * y
     log_ay = math.log(ay)
     betas = [binom_weight(l, n, a) for l in range(n + 1)]
-    acc = _TrackedSum()
-    for k in range(n, m + 1):
-        for j in range(k, m + 1):
-            coef = math.comb(j, k) * a ** (-j) * poisson_weight(m - j, y - z)
-            if (j - k) % 2 == 1:
-                coef = -coef
-            if coef == 0.0:
-                continue
-            for l in range(n + 1):
-                if l == 0:
-                    ph = math.exp(j * log_ay - math.lgamma(j + 1))
-                else:
-                    ph = poisson_weight(j + l, ay) * _phi(j + 1, j + l, ay)
-                acc.add(coef * betas[l] * ph)
-    return acc.value, acc.max_mag
+    parts = []
+    max_mag = 0.0
+    for j in range(n, m + 1):
+        pw = poisson_weight(m - j, y - z)
+        if pw == 0.0:
+            # every term of this j is zero: no T_{j,n}, no Kummer values
+            continue
+        inv_aj = a ** (-j)
+        peak = math.comb(j, max(n, j // 2)) * inv_aj * pw
+        t_jn = 0.0
+        for l in range(n + 1):
+            if l == 0:
+                ph = math.exp(j * log_ay - math.lgamma(j + 1))
+            else:
+                ph = poisson_weight(j + l, ay) * _phi(j + 1, j + l, ay)
+            t_jn += betas[l] * ph
+            max_mag = max(max_mag, abs(peak * betas[l] * ph))
+        c_jn = (-1) ** (j - n) * math.comb(j - 1, n - 1) if n else int(j == 0)
+        parts.append(c_jn * inv_aj * pw * t_jn)
+    return math.fsum(parts), max_mag
 
 
 def _a_closed(m: int, n: int, y: float, z: float, a: float) -> tuple[float, float]:
@@ -270,32 +303,33 @@ def _c_closed(m: int, n: int, y: float, z: float, a: float) -> tuple[float, floa
     #   * pi_j(ay) pi_{m+l-j}(a(y-z)) Phi(k+l-j; m+l-j+1; a(y-z))
     # C_{m,0} = 0 identically: the mixture for n = 0 is the pure atom,
     # which the integration range (z, y] never reaches.
+    # With r = l - j every factor but beta_l pi_{l-r}(ay) depends on (k, r)
+    # alone, so the triple sum factors, in O(m n) work, as
+    #   C_{m,n} = sum_{r=1}^{n} (-1)^(r-1) core_r G_r W_r,
+    #   core_r = e^(-(1-a)(y-z)) a^(-m) pi_{m+r}(u),  u = a(y-z),
+    #   G_r = sum_{k=n}^{m} C(k+r-1, k) Phi(k+r; m+r+1; u),
+    #   W_r = sum_{l=r}^{n} beta_l(n) pi_{l-r}(ay).
+    # Every factor is positive, so the largest |term| of the triple sum
+    # (the guard magnitude) is core_r times the largest G_r and W_r summands,
+    # maximized over r.
     if n == 0:
         return 0.0, 0.0
     u = a * (y - z)
     ay = a * y
     log_u = math.log(u)
-    # a^(-m), e^(-(1-a)(y-z)) and pi_{m+l-j}(u) assembled in one exponent.
+    # a^(-m), e^(-(1-a)(y-z)) and pi_{m+r}(u) assembled in one exponent.
     log_pref = -(1.0 - a) * (y - z) - m * math.log(a)
     betas = [binom_weight(l, n, a) for l in range(n + 1)]
-    acc = _TrackedSum()
-    for l in range(1, n + 1):
-        for k in range(n, m + 1):
-            for j in range(l):
-                core = math.exp(
-                    log_pref + (m + l - j) * log_u - u - math.lgamma(m + l - j + 1)
-                )
-                term = (
-                    betas[l]
-                    * math.comb(k + l - j - 1, k)
-                    * poisson_weight(j, ay)
-                    * core
-                    * _phi(k + l - j, m + l - j, u)
-                )
-                if (l - 1 - j) % 2 == 1:
-                    term = -term
-                acc.add(term)
-    return acc.value, acc.max_mag
+    pis = [poisson_weight(i, ay) for i in range(n)]
+    parts = []
+    max_mag = 0.0
+    for r in range(1, n + 1):
+        core = math.exp(log_pref + (m + r) * log_u - u - math.lgamma(m + r + 1))
+        g_terms = [math.comb(k + r - 1, k) * _phi(k + r, m + r, u) for k in range(n, m + 1)]
+        w_terms = [betas[l] * pis[l - r] for l in range(r, n + 1)]
+        parts.append((-1) ** (r - 1) * core * sum(g_terms) * sum(w_terms))
+        max_mag = max(max_mag, core * max(g_terms) * max(w_terms))
+    return math.fsum(parts), max_mag
 
 
 # term -> (side, index rule, rule check): the region each term's formula
@@ -513,7 +547,7 @@ def _closed_raw(
     total = 0.0
     max_mag = 0.0
     for sign, term, i, j in _telescope(m, n, side):
-        v, g = _CLOSED[term](i, j, y, z, a)
+        v, g = _memoized(("closed", term, i, j, y, z, a), _CLOSED[term], i, j, y, z, a)
         total += sign * v
         max_mag = max(max_mag, g)
     return total, max_mag
@@ -524,7 +558,10 @@ def _quadrature_raw(
 ) -> float:
     total = 0.0
     for sign, term, i, j in _telescope(m, n, side):
-        total += sign * quadrature_term(term, i, j, coords, a, tol)
+        total += sign * _memoized(
+            ("quadrature", term, i, j, coords.y, coords.z, a, tol),
+            quadrature_term, term, i, j, coords, a, tol,
+        )
     return total
 
 
@@ -545,6 +582,24 @@ def _one_sided_raw(
         if max_mag <= CANCEL_MAG_LIMIT:
             return value, "closed"
     return _quadrature_raw(m, n, coords, a, quad_tol, side), "quadrature"
+
+
+def _region_raw(
+    m: int, n: int, coords: ReducedCoords, params: ModelParams, method: Method,
+    quad_tol: float,
+) -> tuple[float, str]:
+    # Evaluate the pmf on the region of ``coords``; on the boundary z = 0,
+    # both sides are evaluated and their average is returned.
+    if coords.region != Region.BOUNDARY:
+        return _one_sided_raw(m, n, coords, params, method, quad_tol, coords.region)
+    raw_neg, _ = _one_sided_raw(m, n, coords, params, method, quad_tol, Region.NEG_Z)
+    raw_pos, _ = _one_sided_raw(m, n, coords, params, method, quad_tol, Region.POS_Z)
+    if abs(raw_neg - raw_pos) > BOUNDARY_AGREE_TOL:
+        raise ConsistencyError(
+            f"one-sided limits at z=0 disagree: {raw_neg} vs {raw_pos} "
+            f"for (m,n)=({m},{n})"
+        )
+    return 0.5 * (raw_neg + raw_pos), "boundary-average"
 
 
 def _check_method(method: str, quad_tol: float) -> None:
@@ -593,8 +648,9 @@ def joint_pmf(
     evaluated by the chosen route and averaged; disagreement beyond
     ``BOUNDARY_AGREE_TOL`` raises
     :class:`ConsistencyError`.  With ``crosscheck=True`` the closed form
-    and the quadrature oracle are both computed and a gap above 1e-6
-    raises :class:`ConsistencyError`.
+    and the quadrature oracle are both computed (on the boundary, each
+    as its own two-sided average) and a gap above 1e-6 raises
+    :class:`ConsistencyError`.
     """
     if m < 0 or n < 0:
         raise DomainError(f"m, n must be >= 0, got m={m}, n={n}")
@@ -604,31 +660,20 @@ def joint_pmf(
         # a*mu*s >= lam*t, so the zero region applies; on the boundary the
         # z->0+ limit of the positive branch agrees.
         return _finalize(m, n, s, t, 0.0, "lemma-exact", None, None)
-
-    if coords.region == Region.BOUNDARY:
-        raw_neg, _ = _one_sided_raw(m, n, coords, params, method, quad_tol, Region.NEG_Z)
-        raw_pos, _ = _one_sided_raw(m, n, coords, params, method, quad_tol, Region.POS_Z)
-        if abs(raw_neg - raw_pos) > BOUNDARY_AGREE_TOL:
-            raise ConsistencyError(
-                f"one-sided limits at z=0 disagree: {raw_neg} vs {raw_pos} "
-                f"for (m,n)=({m},{n})"
-            )
-        return _finalize(m, n, s, t, 0.5 * (raw_neg + raw_pos), "boundary-average", None, None)
-
-    side = coords.region
-    raw, used = _one_sided_raw(m, n, coords, params, method, quad_tol, side)
-    closed_val = raw if used == "closed" else None
-    quad_val = raw if used == "quadrature" else None
-    if crosscheck:
-        if closed_val is None:
-            closed_val = _one_sided_raw(m, n, coords, params, "closed", quad_tol, side)[0]
-        if quad_val is None:
-            quad_val = _one_sided_raw(m, n, coords, params, "quadrature", quad_tol, side)[0]
-        if abs(closed_val - quad_val) > 1e-6:
-            raise ConsistencyError(
-                f"closed form and quadrature disagree for (m,n)=({m},{n}) at "
-                f"(s,t)=({s},{t}): {closed_val} vs {quad_val}"
-            )
+    with _shared_terms():
+        raw, used = _region_raw(m, n, coords, params, method, quad_tol)
+        closed_val = raw if used == "closed" else None
+        quad_val = raw if used == "quadrature" else None
+        if crosscheck:
+            if closed_val is None:
+                closed_val = _region_raw(m, n, coords, params, "closed", quad_tol)[0]
+            if quad_val is None:
+                quad_val = _region_raw(m, n, coords, params, "quadrature", quad_tol)[0]
+    if crosscheck and abs(closed_val - quad_val) > 1e-6:
+        raise ConsistencyError(
+            f"closed form and quadrature disagree for (m,n)=({m},{n}) at "
+            f"(s,t)=({s},{t}): {closed_val} vs {quad_val}"
+        )
     return _finalize(m, n, s, t, raw, used, closed_val, quad_val)
 
 
@@ -685,11 +730,16 @@ def pmf_table(
     pm = np.array([poisson_weight(m, mu_s) for m in range(m_max + 1)])
     pn = np.array([poisson_weight(n, lam_t) for n in range(n_max + 1)])
     values = np.zeros((m_max + 1, n_max + 1))
-    for m in range(m_max + 1):
-        for n in range(n_max + 1):
-            if min(pm[m], pn[n]) < TABLE_PRUNE_TOL:
-                continue
-            values[m, n] = joint_pmf(params, m, n, s, t, method=method, quad_tol=quad_tol).value
+    # Every live cell still goes through joint_pmf; the shared memo lets
+    # neighbouring cells reuse each other's terms and Kummer values.
+    with _shared_terms():
+        for m in range(m_max + 1):
+            for n in range(n_max + 1):
+                if min(pm[m], pn[n]) < TABLE_PRUNE_TOL:
+                    continue
+                values[m, n] = joint_pmf(
+                    params, m, n, s, t, method=method, quad_tol=quad_tol
+                ).value
     total = float(values.sum())
     deficit = 1.0 - total
     tail_bound = poisson_upper_tail(m_max + 1, mu_s) + poisson_upper_tail(n_max + 1, lam_t)

@@ -3,9 +3,10 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
-from sdpoisson.cli import EX_FAIL, EX_OK, EX_USAGE, RunConfig, main
+from sdpoisson.cli import EX_FAIL, EX_OK, EX_USAGE, RunConfig, _write_csv, main
 from sdpoisson.exponential import ModelParams
 from sdpoisson.pmf import joint_pmf
 
@@ -62,6 +63,24 @@ class TestPmfCommand:
         payload = json.loads(out.read_text())
         assert set(payload) == {"config", "results", "checks"}
         assert payload["results"]["probability"] == pytest.approx(math.exp(-1.0))
+
+
+class TestCsvWriter:
+    def test_row_template_matches_per_cell_format(self, tmp_path):
+        rows = [
+            (0, 1.5, -0.0, "closed"),
+            (1, math.inf, -math.inf, math.nan),
+            ("x", 1e-300, 5e-324, 1 / 3),
+            (np.int64(7), np.float64(0.1), True, None),
+            [2, 3.0, 2**70, -1.25e17],
+        ]
+        path = tmp_path / "mixed.csv"
+        _write_csv(path, ["c0", "c1", "c2", "c3"], rows)
+        want = ["c0,c1,c2,c3"] + [
+            ",".join(f"{v:.17g}" if isinstance(v, float) else str(v) for v in row)
+            for row in rows
+        ]
+        assert path.read_bytes() == ("\n".join(want) + "\n").encode()
 
 
 class TestSimulateCommand:

@@ -359,6 +359,15 @@ class TestJointPmf:
         assert r.closed_form is not None and r.quadrature is not None
         assert abs(r.closed_form - r.quadrature) < 1e-8
 
+    def test_crosscheck_on_the_boundary(self):
+        # z = 0 exactly: each engine gives its own two-sided average
+        r = joint_pmf(PARAMS, 2, 1, 1.0, 0.5, crosscheck=True)
+        assert r.method_used == "boundary-average"
+        assert r.closed_form == r.raw
+        assert abs(r.closed_form - r.quadrature) < 1e-8
+        quadr = joint_pmf(PARAMS, 2, 1, 1.0, 0.5, method="quadrature")
+        assert r.quadrature == quadr.raw
+
     def test_auto_falls_back_on_cancellation(self):
         # far outside the desk box the guard must reroute to quadrature
         r = joint_pmf(PARAMS, 25, 22, 30.0, 28.0, method="auto")
