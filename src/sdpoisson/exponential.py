@@ -99,9 +99,10 @@ def sample_triple(params: ModelParams, rng) -> TripleSample:
 def sample_triples(params: ModelParams, size, rng) -> tuple[np.ndarray, ...]:
     """Arrays (x, y, z, b) of i.i.d. triples; the package's stream contract.
 
-    ``size`` is a count or an array shape.  The generator is consumed in
-    three blocks of that shape, in fixed order: uniforms for b, then
-    exponentials for y, then exponentials for z.  ``simulate_path``,
+    ``b`` is the boolean acceptance mask.  ``size`` is a count or an array
+    shape.  The generator is consumed in three blocks of that shape, in
+    fixed order: uniforms for b, then exponentials for y, then
+    exponentials for z.  ``simulate_path``,
     ``sdpoisson simulate`` and the Monte Carlo kernel all draw through
     here, so one seed denotes the same triples in each.
     """
@@ -113,7 +114,7 @@ def sample_triples(params: ModelParams, size, rng) -> tuple[np.ndarray, ...]:
     y = rng.exponential(scale, size)
     z = rng.exponential(scale, size)
     x = a * y + accept * z
-    return x, y, z, accept.astype(np.int64)
+    return x, y, z, accept
 
 
 def sample_pair_independent(lam: float, rng) -> tuple[float, float]:

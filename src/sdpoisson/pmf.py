@@ -26,8 +26,11 @@ signed terms, so every route evaluates both branches at z = 0.
 
 Within one evaluation -- one :func:`pmf_table`, or one lone
 :func:`joint_pmf` -- each telescoping term and each Kummer value is
-computed once and shared by every cell that needs it.  The memo holding
-them is dropped when that call returns; nothing is cached across calls.
+computed once and shared by every cell that needs it.  So is each part of
+a closed term that does not depend on the row m: the A sums S^A_n, the
+running B sums P^B_n and the Q rows T_{j,n}, which leave O(m - n) work
+per Q term and O(1) per A or B term.  The memo holding them is dropped
+when that call returns; nothing is cached across calls.
 """
 
 from __future__ import annotations
@@ -44,7 +47,13 @@ from scipy.integrate import quad
 
 from .errors import ConsistencyError, DomainError, IntegrationError
 from .exponential import ModelParams
-from .special import binom_weight, kummer_elementary, poisson_upper_tail, poisson_weight
+from .special import (
+    _LOG_SPACE_V,
+    binom_weight,
+    kummer_elementary,
+    poisson_upper_tail,
+    poisson_weight,
+)
 
 if TYPE_CHECKING:  # pragma: no cover
     from .harness import McEstimate
@@ -221,25 +230,46 @@ def _phi(alpha: int, beta: int, x: float) -> float:
     return value
 
 
+def _betas(n: int, a: float) -> list[float]:
+    # [beta_0(n), ..., beta_n(n)], shared by every term of one evaluation.
+    return _memoized(("betas", n, a), lambda: [binom_weight(l, n, a) for l in range(n + 1)])
+
+
+def _q_row(j: int, n: int, y: float, a: float) -> tuple[float, float]:
+    # T_{j,n} = sum_{l=0}^{n} beta_l(n) phi_{j,l} and max_l |beta_l(n) phi_{j,l}|;
+    # neither depends on m, so one row serves Q_{m,n} for every m >= j.
+    # The l = 0 term carries Phi with equal parameters, i.e. e^(a y), so
+    # phi_{j,0} = (a y)^j / j! is formed directly.
+    ay = a * y
+    log_ay = math.log(ay)
+    betas = _betas(n, a)
+    t_jn = 0.0
+    mag = 0.0
+    for l in range(n + 1):
+        if l == 0:
+            ph = math.exp(j * log_ay - math.lgamma(j + 1))
+        else:
+            ph = poisson_weight(j + l, ay) * _phi(j + 1, j + l, ay)
+        term = betas[l] * ph
+        t_jn += term
+        mag = max(mag, abs(term))
+    return t_jn, mag
+
+
 def _q_closed(m: int, n: int, y: float, z: float, a: float) -> tuple[float, float]:
     # Q_{m,n}(y,z) = sum_{k=n}^{m} sum_{j=k}^{m} (-1)^(j-k) a^(-j) C(j,k)
     #   * sum_{l=0}^{n} beta_l(n) pi_{m-j}(y-z) phi_{j,l},
     #   phi_{j,l} = pi_{j+l}(a y) Phi(j+1; j+l+1; a y).
-    # The l = 0 term carries Phi with equal parameters, i.e. e^(a y), so
-    # phi_{j,0} = (a y)^j / j! is formed directly.
     # Only C(j,k) depends on k, so the k-sum folds into one coefficient:
     #   c_{j,n} = sum_{k=n}^{j} (-1)^(j-k) C(j,k) = (-1)^(j-n) C(j-1, n-1)
     # for n >= 1 (a partial alternating sum of a binomial row), and [j = 0]
-    # for n = 0.  Hence, in O(m n) work instead of O((m-n)^2 n),
+    # for n = 0.  Hence
     #   Q_{m,n} = sum_{j=n}^{m} c_{j,n} a^(-j) pi_{m-j}(y-z) T_{j,n},
-    #   T_{j,n} = sum_{l=0}^{n} beta_l(n) phi_{j,l}.
-    # The guard magnitude is still the largest |term| of the triple sum:
-    # over k in [n, j], C(j,k) peaks at k = max(n, floor(j/2)), and the
-    # peak term is multiplied in the triple sum's order, so max_mag is the
-    # same float as the term-by-term maximum.
-    ay = a * y
-    log_ay = math.log(ay)
-    betas = [binom_weight(l, n, a) for l in range(n + 1)]
+    # with the rows T_{j,n} of _q_row shared across m, so each Q term costs
+    # O(m - n) once its rows exist.
+    # The guard magnitude is the largest |term| of the triple sum:
+    # over k in [n, j], C(j,k) peaks at k = max(n, floor(j/2)), so it is
+    # that peak times the row's largest |beta_l phi_{j,l}|.
     parts = []
     max_mag = 0.0
     for j in range(n, m + 1):
@@ -249,51 +279,64 @@ def _q_closed(m: int, n: int, y: float, z: float, a: float) -> tuple[float, floa
             continue
         inv_aj = a ** (-j)
         peak = math.comb(j, max(n, j // 2)) * inv_aj * pw
-        t_jn = 0.0
-        for l in range(n + 1):
-            if l == 0:
-                ph = math.exp(j * log_ay - math.lgamma(j + 1))
-            else:
-                ph = poisson_weight(j + l, ay) * _phi(j + 1, j + l, ay)
-            t_jn += betas[l] * ph
-            max_mag = max(max_mag, abs(peak * betas[l] * ph))
+        t_jn, row_mag = _memoized(("Q-row", j, n, y, a), _q_row, j, n, y, a)
+        max_mag = max(max_mag, peak * row_mag)
         c_jn = (-1) ** (j - n) * math.comb(j - 1, n - 1) if n else int(j == 0)
         parts.append(c_jn * inv_aj * pw * t_jn)
     return math.fsum(parts), max_mag
 
 
-def _a_closed(m: int, n: int, y: float, z: float, a: float) -> tuple[float, float]:
-    # A_{m,n}(y,z) = pi_m(y-z) sum_k beta_k(n) [1 + pi_k(az) - sum_{j<=k} pi_j(az)]
-    # where the bracket is P(Poisson(az) >= k); all terms positive.
+def _a_sum(n: int, z: float, a: float) -> float:
+    # S^A_n = sum_{k=0}^{n} beta_k(n) P(Poisson(az) >= k); all terms positive.
     az = a * z
+    betas = _betas(n, a)
     total = 0.0
     for k in range(n + 1):
-        total += binom_weight(k, n, a) * poisson_upper_tail(k, az)
-    value = poisson_weight(m, y - z) * total
+        total += betas[k] * poisson_upper_tail(k, az)
+    return total
+
+
+def _a_closed(m: int, n: int, y: float, z: float, a: float) -> tuple[float, float]:
+    # A_{m,n}(y,z) = pi_m(y-z) S^A_n, with S^A_n shared across m.
+    value = poisson_weight(m, y - z) * _memoized(("A-sum", n, z, a), _a_sum, n, z, a)
     return value, value
 
 
+def _b_inner(k: int, n: int, z: float, a: float) -> float:
+    # sum_{l=0}^{n+1} beta_l(n+1) (az)^l k!/(k+l)! Phi(l; k+l+1; (1-a) z); z > 0.
+    log_az = math.log(a * z)
+    x = (1.0 - a) * z
+    betas = _betas(n + 1, a)
+    inner = betas[0]
+    for l in range(1, n + 2):
+        ratio = math.exp(l * log_az + math.lgamma(k + 1) - math.lgamma(k + l + 1))
+        inner += betas[l] * ratio * _phi(l, k + l, x)
+    return inner
+
+
+def _b_prefix(n: int, z: float, a: float, top: int) -> float:
+    # P^B_n[top] = sum_{k=0}^{top} pi_k(z) inner(k, n).  The running sums are
+    # shared across m and grow on demand in increasing k, so each one is the
+    # float a direct loop up to top would hold, and no inner(k, n) beyond the
+    # largest top asked for is evaluated.
+    memo = _MEMO.get()
+    sums = memo.setdefault(("B-prefix", n, z, a), []) if memo is not None else []
+    total = sums[-1] if sums else 0.0
+    for k in range(len(sums), top + 1):
+        pk = poisson_weight(k, z)
+        if pk != 0.0:
+            total += pk * _b_inner(k, n, z, a)
+        sums.append(total)
+    return sums[top]
+
+
 def _b_closed(m: int, n: int, y: float, z: float, a: float) -> tuple[float, float]:
-    # B_{m,n}(y,z) = pi_m(y-z) sum_{k=0}^{n-m} pi_k(z) sum_{l=0}^{n+1}
-    #   beta_{l}(n+1) (az)^l k!/(k+l)! Phi(l; k+l+1; (1-a) z); all positive.
+    # B_{m,n}(y,z) = pi_m(y-z) sum_{k=0}^{n-m} pi_k(z) inner(k, n)
+    #   = pi_m(y-z) P^B_n[n-m]; all terms positive.
     if z == 0.0:
         value = poisson_weight(m, y) * a ** (n + 1)
         return value, value
-    az = a * z
-    log_az = math.log(az)
-    x = (1.0 - a) * z
-    betas = [binom_weight(l, n + 1, a) for l in range(n + 2)]
-    total = 0.0
-    for k in range(n - m + 1):
-        pk = poisson_weight(k, z)
-        if pk == 0.0:
-            continue
-        inner = betas[0]
-        for l in range(1, n + 2):
-            ratio = math.exp(l * log_az + math.lgamma(k + 1) - math.lgamma(k + l + 1))
-            inner += betas[l] * ratio * _phi(l, k + l, x)
-        total += pk * inner
-    value = poisson_weight(m, y - z) * total
+    value = poisson_weight(m, y - z) * _b_prefix(n, z, a, n - m)
     return value, value
 
 
@@ -397,6 +440,9 @@ def _mixture_cont(n: int, a: float, betas: list[float], x: float) -> float:
         return 0.0
     if x == 0.0:
         return betas[1]
+    if x > _LOG_SPACE_V:
+        # f_l(x) = pi_{l-1}(x), each in log space
+        return sum(betas[l] * poisson_weight(l - 1, x) for l in range(1, n + 1))
     total = 0.0
     f = math.exp(-x)
     for l in range(1, n + 1):
@@ -407,6 +453,8 @@ def _mixture_cont(n: int, a: float, betas: list[float], x: float) -> float:
 
 def _pi_row(count: int, v: float) -> list[float]:
     # [pi_0(v), ..., pi_count(v)] by upward recurrence; v > 0.
+    if v > _LOG_SPACE_V:
+        return [poisson_weight(i, v) for i in range(count + 1)]
     row = [math.exp(-v)]
     for i in range(count):
         row.append(row[-1] * v / (i + 1))

@@ -69,7 +69,8 @@ def simulate_path(params: ModelParams, n_renewals: int, seed: int) -> RenewalPat
 def _simulate_with_rng(params: ModelParams, n_renewals: int, rng, seed: int) -> RenewalPath:
     if n_renewals < 1:
         raise DomainError(f"n_renewals must be >= 1, got {n_renewals}")
-    x, y, z, b = sample_triples(params, n_renewals, rng)
+    x, y, z, accept = sample_triples(params, n_renewals, rng)
+    b = accept.astype(np.int64)
 
     zero = np.zeros(1)
     t_arr = np.concatenate([zero, np.cumsum(x)])

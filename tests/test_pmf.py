@@ -3,6 +3,7 @@
 import dataclasses
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -12,6 +13,8 @@ from sdpoisson.harness import mc_joint_pmf
 from sdpoisson.pmf import (
     ReducedCoords,
     Region,
+    _mixture_cont,
+    _pi_row,
     a_closed,
     b_closed,
     c_closed,
@@ -22,7 +25,12 @@ from sdpoisson.pmf import (
     quadrature_term,
     reduced_coords,
 )
-from sdpoisson.special import poisson_upper_tail, poisson_weight
+from sdpoisson.special import (
+    binom_weight,
+    erlang_mixture_density,
+    poisson_upper_tail,
+    poisson_weight,
+)
 
 PARAMS = ModelParams(lam=1.0, mu=1.0, a=0.5)
 
@@ -465,3 +473,37 @@ class TestPmfTable:
         monkeypatch.setattr(pmf, "joint_pmf", halve_one_cell)
         with pytest.raises(ConsistencyError):
             pmf_table(PARAMS, 1.0, 1.0, 12, 12)
+
+
+def mp_mixture(n, a, x):
+    """sum_{l=1}^{n} beta_l(n) pi_{l-1}(x), to 30 digits."""
+    with mpmath.workdps(30):
+        x, a = mpmath.mpf(x), mpmath.mpf(a)
+        return float(mpmath.fsum(
+            mpmath.binomial(n, l) * a ** (n - l) * (1 - a) ** l
+            * mpmath.exp((l - 1) * mpmath.log(x) - x - mpmath.loggamma(l))
+            for l in range(1, n + 1)
+        ))
+
+
+class TestLargeArguments:
+    # exp(-v) is 0 past v ~ 745; the quadrature helpers must not start there.
+    @pytest.mark.parametrize("v", [800.0, 1600.0, 3000.0])
+    def test_pi_row_keeps_its_mass(self, v):
+        row = _pi_row(int(v + 12.0 * math.sqrt(v)), v)
+        assert math.fsum(row) == pytest.approx(1.0, abs=1e-9)
+        mode = int(v)
+        with mpmath.workdps(30):
+            want = mpmath.exp(mode * mpmath.log(v) - v - mpmath.loggamma(mode + 1))
+        assert row[mode] == pytest.approx(float(want), rel=1e-10)
+        assert row[mode] == poisson_weight(mode, v)
+
+    @pytest.mark.parametrize("x", [800.0, 1600.0, 3000.0])
+    def test_mixture_density_matches_log_space_sum(self, x):
+        # pmf's quadrature copy and the special.erlang_mixture_density one
+        n = int(2 * x)
+        betas = [binom_weight(l, n, 0.5) for l in range(n + 1)]
+        want = mp_mixture(n, 0.5, x)
+        assert want > 1e-3
+        assert _mixture_cont(n, 0.5, betas, x) == pytest.approx(want, rel=1e-10)
+        assert erlang_mixture_density(n, 0.5).density(x) == pytest.approx(want, rel=1e-10)

@@ -8,16 +8,22 @@ call per cell, with no work shared between cells.  It holds
   kernels on a grid of a in {0.1, 0.5, 0.9}, both signs of z and m <= 40;
 * ``tables``: the route and raw value of every cell of five ``auto``
   tables, two of which trip the cancellation guard.
+
+It also checks that the sums a closed term shares across the rows m of a
+table are each evaluated once, and the early exit of the closed Kummer
+form.
 """
 
 import json
 from collections import Counter
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 
 import sdpoisson.pmf as pmf
+import sdpoisson.special as special
 from sdpoisson.exponential import ModelParams
 from sdpoisson.pmf import CANCEL_MAG_LIMIT, joint_pmf, pmf_table
 
@@ -125,6 +131,24 @@ class TestTableSharing:
         assert set(terms.values()) == {1}
         assert set(kummer.values()) == {1}
 
+    @pytest.mark.parametrize("side", SIDES)
+    def test_each_m_independent_sum_evaluated_once(self, side, monkeypatch):
+        # S^A_n, each running-sum entry inner(k, n) of B, and each Q row
+        # T_{j,n}; at z = 0 the B terms are a closed expression.
+        calls = Counter()
+        for name in ("_a_sum", "_b_inner", "_q_row"):
+            def counted(*args, _name=name, _real=getattr(pmf, name)):
+                calls[(_name, *args)] += 1
+                return _real(*args)
+
+            monkeypatch.setattr(pmf, name, counted)
+        s, t = SIDES[side]
+        pmf_table(PARAMS, s, t, 19, 19, method="closed")
+        expected = {"neg": {"_q_row"}, "pos": {"_a_sum", "_b_inner"},
+                    "zero": {"_q_row", "_a_sum"}}
+        assert {key[0] for key in calls} == expected[side]
+        assert set(calls.values()) == {1}
+
     def test_each_quadrature_term_evaluated_once(self, monkeypatch):
         calls = Counter()
         real = pmf.quadrature_term
@@ -136,3 +160,43 @@ class TestTableSharing:
         monkeypatch.setattr(pmf, "quadrature_term", counted)
         pmf_table(PARAMS, 1.0, 0.8, 5, 5, method="quadrature")
         assert calls and set(calls.values()) == {1}
+
+
+class TestKummerElementary:
+    def test_early_exit_returns_the_series(self, monkeypatch):
+        # With beta <= 20 and x >= 0.5 neither the underflow nor the
+        # overflow exit of the loop can fire, so a loop that stops before
+        # its alpha-th incomplete-gamma tail stopped at the e^x bound.
+        tails = []
+        real_tail = special.poisson_upper_tail
+
+        def counted_tail(k, x):
+            tails.append(k)
+            return real_tail(k, x)
+
+        monkeypatch.setattr(special, "poisson_upper_tail", counted_tail)
+        fired = 0
+        for beta in range(1, 21):
+            for alpha in range(1, beta + 1):
+                for x in (0.5, 1.0, 2.0, 4.0):
+                    tails.clear()
+                    got = special.kummer_elementary(alpha, beta, x)
+                    if len(tails) < alpha:
+                        fired += 1
+                        assert got == special.kummer_series(alpha, beta, x)
+        assert fired
+
+    def test_agrees_with_mpmath(self):
+        # Measured worst on this grid: 2.1e-12 relative, at alpha = 2,
+        # beta = 37, x = 0.05, where the closed form's two terms cancel to
+        # within the guard; the series alone stays within 3e-15.  The bound
+        # is the guard's documented "near 1e-12", not a tighter one.
+        worst = 0.0
+        with mpmath.workdps(30):
+            for beta in range(41):
+                for alpha in range(beta + 1):
+                    for x in (0.05, 0.2, 1.0, 4.0, 15.0, 60.0):
+                        want = mpmath.hyp1f1(alpha, beta + 1, x)
+                        got = special.kummer_elementary(alpha, beta, x)
+                        worst = max(worst, float(abs(got - want) / want))
+        assert worst <= 1e-11
