@@ -123,8 +123,8 @@ def renewals_for_horizon(rate: float, horizon: float) -> int:
     P(Poisson(rate*horizon) > K) < 1e-12 for
     K = ceil(rate*horizon + 12*sqrt(rate*horizon) + 30).
     """
-    if rate <= 0.0 or horizon < 0.0:
-        raise DomainError(f"need rate > 0 and horizon >= 0, got {rate}, {horizon}")
+    if not (0.0 < rate < math.inf and 0.0 <= horizon < math.inf):
+        raise DomainError(f"need finite rate > 0 and horizon >= 0, got {rate}, {horizon}")
     load = rate * horizon
     return int(math.ceil(load + 12.0 * math.sqrt(load) + 30.0))
 

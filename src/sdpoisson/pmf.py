@@ -17,7 +17,13 @@ Each of Q, A, B, C exists in two independent forms: an elementary closed
 form (finite sums of powers, exponentials, and degenerate Kummer
 functions) and a defining integral against the Erlang-mixture density
 h_n, evaluated by adaptive quadrature with the atom at 0+ handled
-analytically.  The closed forms are exact but alternate in sign with
+analytically.  Each special function has one evaluator here: every
+Kummer value comes from the all-positive series
+:func:`~sdpoisson.special.kummer_series`, and h_n from
+:func:`~sdpoisson.special.erlang_mixture_density`.  The paper's finite
+Kummer reduction, :func:`~sdpoisson.special.kummer_elementary`, is not
+on these paths; ``sdpoisson verify`` checks it against the series.  The
+closed forms are exact but alternate in sign with
 a^(-j) factors, so they lose digits for small a or large indices; the
 quadrature route is the accuracy authority there.  ``method="auto"``
 switches on one measured index limit plus a per-evaluation
@@ -50,10 +56,12 @@ from .exponential import ModelParams
 from .special import (
     _LOG_SPACE_V,
     binom_weight,
-    kummer_elementary,
+    erlang_mixture_density,
+    kummer_series,
     poisson_upper_tail,
     poisson_weight,
 )
+from .special import kummer_elementary  # noqa: F401  perfbench/tracing.py wraps this name
 
 if TYPE_CHECKING:  # pragma: no cover
     from .harness import McEstimate
@@ -138,10 +146,10 @@ class PmfReport:
 
 def reduced_coords(params: ModelParams, s: float, t: float) -> ReducedCoords:
     """Map (s, t) to the reduced coordinates indexing the pmf formulas."""
-    if not s > 0.0:
-        raise DomainError(f"s must be > 0, got {s}")
-    if not t > 0.0:
-        raise DomainError(f"t must be > 0, got {t}")
+    if not 0.0 < s < math.inf:
+        raise DomainError(f"s must be positive and finite, got {s}")
+    if not 0.0 < t < math.inf:
+        raise DomainError(f"t must be positive and finite, got {t}")
     y = params.lam * t / params.a
     z = (params.lam * t - params.a * params.mu * s) / params.a
     if abs(z) < BOUNDARY_RTOL * max(1.0, y):
@@ -222,11 +230,11 @@ def _phi(alpha: int, beta: int, x: float) -> float:
     # _memoized inlined: this is the innermost call of the closed kernels.
     memo = _MEMO.get()
     if memo is None:
-        return kummer_elementary(alpha, beta, x)
+        return kummer_series(alpha, beta, x)
     key = ("phi", alpha, beta, x)
     value = memo.get(key)
     if value is None:
-        value = memo[key] = kummer_elementary(alpha, beta, x)
+        value = memo[key] = kummer_series(alpha, beta, x)
     return value
 
 
@@ -362,7 +370,7 @@ def _c_closed(m: int, n: int, y: float, z: float, a: float) -> tuple[float, floa
     log_u = math.log(u)
     # a^(-m), e^(-(1-a)(y-z)) and pi_{m+r}(u) assembled in one exponent.
     log_pref = -(1.0 - a) * (y - z) - m * math.log(a)
-    betas = [binom_weight(l, n, a) for l in range(n + 1)]
+    betas = _betas(n, a)
     pis = [poisson_weight(i, ay) for i in range(n)]
     parts = []
     max_mag = 0.0
@@ -434,23 +442,6 @@ _CLOSED = {"Q": _q_closed, "A": _a_closed, "B": _b_closed, "C": _c_closed}
 # ---------------------------------------------------------------------------
 
 
-def _mixture_cont(n: int, a: float, betas: list[float], x: float) -> float:
-    # Continuous part of h_n at x: sum_{l>=1} beta_l(n) f_l(x).
-    if x < 0.0 or n == 0:
-        return 0.0
-    if x == 0.0:
-        return betas[1]
-    if x > _LOG_SPACE_V:
-        # f_l(x) = pi_{l-1}(x), each in log space
-        return sum(betas[l] * poisson_weight(l - 1, x) for l in range(1, n + 1))
-    total = 0.0
-    f = math.exp(-x)
-    for l in range(1, n + 1):
-        total += betas[l] * f
-        f *= x / l
-    return total
-
-
 def _pi_row(count: int, v: float) -> list[float]:
     # [pi_0(v), ..., pi_count(v)] by upward recurrence; v > 0.
     if v > _LOG_SPACE_V:
@@ -520,36 +511,34 @@ def quadrature_term(
         raise DomainError(f"tol must be > 0, got {tol}")
     z = _term_z(term, m, n, coords)
     y = coords.y
+    if term == "C" and n == 0:
+        return 0.0
+    # h_n of the term; B integrates against h_{n+1}.
+    h = erlang_mixture_density(n + 1 if term == "B" else n, a)
     if term == "Q":
-        betas = [binom_weight(l, n, a) for l in range(n + 1)]
-        atom = betas[0] * sum(
+        atom = h.atom_weight * sum(
             poisson_weight(m - k, -z) * poisson_weight(k, y) for k in range(n, m + 1)
         )
-        integrand = lambda w: _mixture_cont(n, a, betas, a * w) * _pair_sum(m, n, w, y, z)
+        integrand = lambda w: h.density(a * w) * _pair_sum(m, n, w, y, z)
         return _scaled_integral(integrand, 0.0, y, tol, scale=a, offset=atom)
     if term == "A":
-        betas = [binom_weight(l, n, a) for l in range(n + 1)]
         pim = poisson_weight(m, y - z)
         return _scaled_integral(
-            lambda w: _mixture_cont(n, a, betas, a * w), 0.0, z, tol,
-            scale=pim * a, offset=pim * betas[0],
+            lambda w: h.density(a * w), 0.0, z, tol,
+            scale=pim * a, offset=pim * h.atom_weight,
         )
     if term == "B":
-        betas = [binom_weight(l, n + 1, a) for l in range(n + 2)]
         pim = poisson_weight(m, y - z)
-        atom = betas[0] * sum(poisson_weight(k, z) for k in range(n - m + 1))
+        atom = h.atom_weight * sum(poisson_weight(k, z) for k in range(n - m + 1))
 
         def integrand(w: float) -> float:
             row = _pi_row(n - m, z - w) if z > w else None
             tail = sum(row[: n - m + 1]) if row is not None else 1.0
-            return _mixture_cont(n + 1, a, betas, a * w) * tail
+            return h.density(a * w) * tail
 
         return _scaled_integral(integrand, 0.0, z, tol, scale=pim * a, offset=pim * atom)
     # C
-    if n == 0:
-        return 0.0
-    betas = [binom_weight(l, n, a) for l in range(n + 1)]
-    integrand = lambda w: _mixture_cont(n, a, betas, a * w) * _pair_sum(m, n, w, y, z)
+    integrand = lambda w: h.density(a * w) * _pair_sum(m, n, w, y, z)
     return _scaled_integral(integrand, z, y, tol, scale=a, offset=0.0)
 
 

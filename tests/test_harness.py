@@ -38,6 +38,10 @@ class TestRenewalBudget:
         with pytest.raises(DomainError):
             renewals_for_horizon(0.0, 1.0)
 
+    def test_infinite_horizon_rejected(self):
+        with pytest.raises(DomainError):
+            mc_joint_pmf(PARAMS, 1, 1, math.inf, 1.0, n_samples=1_000, seed=0)
+
 
 class TestReproducibility:
     def test_bit_identical_estimates(self):

@@ -13,7 +13,6 @@ from sdpoisson.harness import mc_joint_pmf
 from sdpoisson.pmf import (
     ReducedCoords,
     Region,
-    _mixture_cont,
     _pi_row,
     a_closed,
     b_closed,
@@ -26,7 +25,6 @@ from sdpoisson.pmf import (
     reduced_coords,
 )
 from sdpoisson.special import (
-    binom_weight,
     erlang_mixture_density,
     poisson_upper_tail,
     poisson_weight,
@@ -87,6 +85,13 @@ class TestReducedCoords:
         with pytest.raises(DomainError):
             reduced_coords(PARAMS, 1.0, -0.1)
 
+    @pytest.mark.parametrize("s,t", [(math.inf, 1.0), (1.0, math.inf)])
+    def test_nonfinite_times_rejected(self, s, t):
+        with pytest.raises(DomainError):
+            reduced_coords(PARAMS, s, t)
+        with pytest.raises(DomainError):
+            joint_pmf(PARAMS, 2, 1, s, t)
+
 
 class TestJointGeProb:
     def test_trivial_origin(self):
@@ -134,6 +139,12 @@ class TestTermEvaluators:
     def test_closed_matches_pinned_oracle(self, term, m, n, y, z, a, expected):
         got = CLOSED[term](m, n, coords_at(y, z), a)
         assert abs(got - expected) < 1e-8
+
+    def test_closed_q_within_round_off_of_high_precision(self):
+        # 30-digit evaluation of the same sums; the closed Kummer
+        # reduction left 1.6e-13 here.
+        got = q_closed(12, 5, coords_at(6.0, -2.0), 0.5)
+        assert abs(got - 0.016870463106995348) <= 2e-14
 
     @pytest.mark.parametrize("term,m,n,y,z,a,expected", TERM_ORACLE)
     def test_quadrature_matches_pinned_oracle(self, term, m, n, y, z, a, expected):
@@ -500,10 +511,8 @@ class TestLargeArguments:
 
     @pytest.mark.parametrize("x", [800.0, 1600.0, 3000.0])
     def test_mixture_density_matches_log_space_sum(self, x):
-        # pmf's quadrature copy and the special.erlang_mixture_density one
+        # the h_n that quadrature_term integrates against
         n = int(2 * x)
-        betas = [binom_weight(l, n, 0.5) for l in range(n + 1)]
         want = mp_mixture(n, 0.5, x)
         assert want > 1e-3
-        assert _mixture_cont(n, 0.5, betas, x) == pytest.approx(want, rel=1e-10)
         assert erlang_mixture_density(n, 0.5).density(x) == pytest.approx(want, rel=1e-10)

@@ -15,6 +15,7 @@ from sdpoisson.special import (
     kummer_elementary,
     kummer_series,
     poisson_tail_integral,
+    poisson_upper_tail,
     poisson_weight,
 )
 
@@ -39,6 +40,10 @@ class TestPoissonWeight:
             poisson_weight(1, -0.5)
         with pytest.raises(DomainError):
             poisson_weight(-1, 0.5)
+
+    def test_upper_tail_rejects_nan(self):
+        with pytest.raises(DomainError):
+            poisson_upper_tail(3, math.nan)
 
     @pytest.mark.parametrize("alpha", [0.1, 1.0, 10.0])
     def test_mass_sums_to_one_with_small_tail(self, alpha):
@@ -158,6 +163,10 @@ class TestPoissonTailIntegral:
 
     def test_limit_is_one(self):
         assert poisson_tail_integral(6, 2.0, 200.0) == pytest.approx(1.0, abs=1e-12)
+
+    def test_nan_offset_rejected(self):
+        with pytest.raises(DomainError):
+            poisson_tail_integral(2, 1.0, math.nan)
 
 
 class TestKummer:
