@@ -17,10 +17,14 @@ Each of Q, A, B, C exists in two independent forms: an elementary closed
 form (finite sums of powers, exponentials, and degenerate Kummer
 functions) and a defining integral against the Erlang-mixture density
 h_n, evaluated by adaptive quadrature with the atom at 0+ handled
-analytically.  Each special function has one evaluator here: every
+analytically.  The four integrals share one formula,
+pi_m(y - z) (atom g(0) + a int h(a w) g(w) dw), whose factor g is 1, a
+Poisson CDF or a binomial tail (:func:`quadrature_term`); ``tol`` bounds
+the bare integral.  Each special function has one evaluator here: every
 Kummer value comes from the all-positive series
-:func:`~sdpoisson.special.kummer_series`, and h_n from
-:func:`~sdpoisson.special.erlang_mixture_density`.  The paper's finite
+:func:`~sdpoisson.special.kummer_series`, h_n and its CDF from
+:func:`~sdpoisson.special.erlang_mixture_density`, and g from scipy's
+incomplete gamma and beta functions.  The paper's finite
 Kummer reduction, :func:`~sdpoisson.special.kummer_elementary`, is not
 on these paths; ``sdpoisson verify`` checks it against the series.  The
 closed forms are exact but alternate in sign with
@@ -31,12 +35,12 @@ cancellation guard.  Both forms assemble p_{m,n} from the same list of
 signed terms, so every route evaluates both branches at z = 0.
 
 Within one evaluation -- one :func:`pmf_table`, or one lone
-:func:`joint_pmf` -- each telescoping term and each Kummer value is
-computed once and shared by every cell that needs it.  So is each part of
-a closed term that does not depend on the row m: the A sums S^A_n, the
-running B sums P^B_n and the Q rows T_{j,n}, which leave O(m - n) work
-per Q term and O(1) per A or B term.  The memo holding them is dropped
-when that call returns; nothing is cached across calls.
+:func:`joint_pmf` -- each telescoping term, each Kummer value and each
+mixture h_n is computed once and shared by every cell that needs it.  So
+is each part of a closed term that does not depend on the row m: the A
+sums S^A_n, the running B sums P^B_n and the Q rows T_{j,n}, which leave
+O(m - n) work per Q term and O(1) per A or B term.  The memo holding them
+is dropped when that call returns; nothing is cached across calls.
 """
 
 from __future__ import annotations
@@ -50,11 +54,12 @@ from typing import TYPE_CHECKING, Literal
 
 import numpy as np
 from scipy.integrate import quad
+from scipy.special import betainc, gammaincc
 
 from .errors import ConsistencyError, DomainError, IntegrationError
 from .exponential import ModelParams
 from .special import (
-    _LOG_SPACE_V,
+    AtomPlusDensity,
     binom_weight,
     erlang_mixture_density,
     kummer_series,
@@ -243,6 +248,11 @@ def _betas(n: int, a: float) -> list[float]:
     return _memoized(("betas", n, a), lambda: [binom_weight(l, n, a) for l in range(n + 1)])
 
 
+def _mixture(n: int, a: float) -> AtomPlusDensity:
+    # h_n (atom, density and CDF), shared by every term of one evaluation.
+    return _memoized(("mixture", n, a), erlang_mixture_density, n, a)
+
+
 def _q_row(j: int, n: int, y: float, a: float) -> tuple[float, float]:
     # T_{j,n} = sum_{l=0}^{n} beta_l(n) phi_{j,l} and max_l |beta_l(n) phi_{j,l}|;
     # neither depends on m, so one row serves Q_{m,n} for every m >= j.
@@ -295,13 +305,8 @@ def _q_closed(m: int, n: int, y: float, z: float, a: float) -> tuple[float, floa
 
 
 def _a_sum(n: int, z: float, a: float) -> float:
-    # S^A_n = sum_{k=0}^{n} beta_k(n) P(Poisson(az) >= k); all terms positive.
-    az = a * z
-    betas = _betas(n, a)
-    total = 0.0
-    for k in range(n + 1):
-        total += betas[k] * poisson_upper_tail(k, az)
-    return total
+    # S^A_n = sum_{k=0}^{n} beta_k(n) P(Poisson(az) >= k), the h_n CDF at az.
+    return _mixture(n, a).cdf(a * z)
 
 
 def _a_closed(m: int, n: int, y: float, z: float, a: float) -> tuple[float, float]:
@@ -442,32 +447,6 @@ _CLOSED = {"Q": _q_closed, "A": _a_closed, "B": _b_closed, "C": _c_closed}
 # ---------------------------------------------------------------------------
 
 
-def _pi_row(count: int, v: float) -> list[float]:
-    # [pi_0(v), ..., pi_count(v)] by upward recurrence; v > 0.
-    if v > _LOG_SPACE_V:
-        return [poisson_weight(i, v) for i in range(count + 1)]
-    row = [math.exp(-v)]
-    for i in range(count):
-        row.append(row[-1] * v / (i + 1))
-    return row
-
-
-def _pair_sum(m: int, n: int, w: float, y: float, z: float) -> float:
-    # sum_{k=n}^{m} pi_{m-k}(w - z) pi_k(y - w); both arguments are >= 0 on
-    # the integration ranges, and a zero argument contributes the k = index
-    # limit of the weight (1 at index 0, else 0).
-    left = w - z
-    right = y - w
-    row_l = _pi_row(m - n, left) if left > 0.0 else None
-    row_r = _pi_row(m, right) if right > 0.0 else None
-    total = 0.0
-    for k in range(n, m + 1):
-        pl = row_l[m - k] if row_l is not None else (1.0 if m == k else 0.0)
-        pr = row_r[k] if row_r is not None else (1.0 if k == 0 else 0.0)
-        total += pl * pr
-    return total
-
-
 def _scaled_integral(fn, lo: float, hi: float, tol: float, scale: float, offset: float) -> float:
     # offset + scale * (integral of fn over [lo, hi] to absolute accuracy
     # tol); a failure's best estimate and error bound refer to the
@@ -501,45 +480,38 @@ def quadrature_term(
 ) -> float:
     """Evaluate Q, A, B, or C from its defining integral.
 
-    The atom of the mixture h_n at w = 0+ is handled analytically: it
-    contributes to integrals over [0, z] and [0, y] but not to (z, y].
-    Adaptive Gauss-Kronrod quadrature covers the smooth remainder to
-    absolute accuracy ``tol``; failure raises :class:`IntegrationError`
-    carrying the best estimate.
+    Every term is one formula,
+
+        T = pi_m(y - z) * (atom * g(0) + a * integral of h(a w) g(w) dw),
+
+    with h = h_n (h_{n+1} for B) and its atom at w = 0+ handled
+    analytically.  The integral runs over [0, z] for A and B, over [0, y]
+    for Q and over (z, y] for C, which misses the atom.  g is 1 for A,
+    P(Poisson(z - w) <= n - m) for B, and P(Bin(m, (y-w)/(y-z)) >= n)
+    for Q and C, which is their Poisson pair sum
+    sum_{k=n}^{m} pi_{m-k}(w - z) pi_k(y - w) over pi_m(y - z).  g comes
+    from scipy's incomplete gamma and beta functions.  Adaptive
+    Gauss-Kronrod quadrature holds the bare integral to absolute accuracy
+    ``tol``, so the term is within a * pi_m(y - z) * tol <= tol; failure
+    raises :class:`IntegrationError` carrying the best estimate of the term.
     """
     if not tol > 0.0:
         raise DomainError(f"tol must be > 0, got {tol}")
     z = _term_z(term, m, n, coords)
     y = coords.y
-    if term == "C" and n == 0:
-        return 0.0
-    # h_n of the term; B integrates against h_{n+1}.
-    h = erlang_mixture_density(n + 1 if term == "B" else n, a)
-    if term == "Q":
-        atom = h.atom_weight * sum(
-            poisson_weight(m - k, -z) * poisson_weight(k, y) for k in range(n, m + 1)
-        )
-        integrand = lambda w: h.density(a * w) * _pair_sum(m, n, w, y, z)
-        return _scaled_integral(integrand, 0.0, y, tol, scale=a, offset=atom)
-    if term == "A":
-        pim = poisson_weight(m, y - z)
-        return _scaled_integral(
-            lambda w: h.density(a * w), 0.0, z, tol,
-            scale=pim * a, offset=pim * h.atom_weight,
-        )
+    h = _mixture(n + 1 if term == "B" else n, a)
     if term == "B":
-        pim = poisson_weight(m, y - z)
-        atom = h.atom_weight * sum(poisson_weight(k, z) for k in range(n - m + 1))
-
-        def integrand(w: float) -> float:
-            row = _pi_row(n - m, z - w) if z > w else None
-            tail = sum(row[: n - m + 1]) if row is not None else 1.0
-            return h.density(a * w) * tail
-
-        return _scaled_integral(integrand, 0.0, z, tol, scale=pim * a, offset=pim * atom)
-    # C
-    integrand = lambda w: h.density(a * w) * _pair_sum(m, n, w, y, z)
-    return _scaled_integral(integrand, z, y, tol, scale=a, offset=0.0)
+        g = lambda w: float(gammaincc(n - m + 1, z - w))
+    elif term == "A" or n == 0:
+        g = lambda w: 1.0
+    else:
+        g = lambda w: float(betainc(n, m - n + 1, (y - w) / (y - z)))
+    lo, hi = {"A": (0.0, z), "B": (0.0, z), "Q": (0.0, y), "C": (z, y)}[term]
+    atom = 0.0 if term == "C" else h.atom_weight * g(0.0)
+    pim = poisson_weight(m, y - z)
+    return _scaled_integral(
+        lambda w: h.density(a * w) * g(w), lo, hi, tol, scale=pim * a, offset=pim * atom
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -558,7 +530,7 @@ _STABLE_LIMIT = 48
 
 
 def closed_form_stable_limit(a: float) -> int:
-    """Largest pmf index trusted to the closed forms at this a (auto mode)."""
+    """Largest pmf index trusted to the closed forms (auto mode); the same at every a."""
     return _STABLE_LIMIT
 
 
@@ -762,6 +734,7 @@ def pmf_table(
     if m_max < 0 or n_max < 0:
         raise DomainError(f"m_max, n_max must be >= 0, got {m_max}, {n_max}")
     _check_method(method, quad_tol)
+    reduced_coords(params, s, t)  # names a bad s or t before the marginals use it
     mu_s = params.mu * s
     lam_t = params.lam * t
     pm = np.array([poisson_weight(m, mu_s) for m in range(m_max + 1)])

@@ -59,8 +59,8 @@ _EXACT_BINOM_MAX_N = 60
 KUMMER_CANCEL_GUARD = 1e2
 
 # exp(-v) turns subnormal near v = 708 and is 0 past v ~ 745, so the upward
-# Poisson/Erlang recurrences that start from it form each weight in log
-# space beyond this v.  Below it the recurrences run unchanged.
+# Erlang recurrence of the mixture density, which starts from it, forms each
+# weight in log space beyond this v.  Below it the recurrence runs unchanged.
 _LOG_SPACE_V = 700.0
 
 
@@ -96,8 +96,8 @@ def poisson_weight(n: int, alpha: float) -> float:
     convention that a zero-intensity Poisson count sits at zero.
     """
     _check_count(n)
-    if alpha < 0 or math.isnan(alpha):
-        raise DomainError(f"alpha must be >= 0, got {alpha}")
+    if not 0.0 <= alpha < math.inf:
+        raise DomainError(f"alpha must be >= 0 and finite, got {alpha}")
     if alpha == 0.0:
         return 1.0 if n == 0 else 0.0
     return math.exp(n * math.log(alpha) - alpha - math.lgamma(n + 1))

@@ -13,7 +13,6 @@ from sdpoisson.harness import mc_joint_pmf
 from sdpoisson.pmf import (
     ReducedCoords,
     Region,
-    _pi_row,
     a_closed,
     b_closed,
     c_closed,
@@ -463,6 +462,15 @@ class TestPmfTable:
         with pytest.raises(DomainError):
             pmf_table(PARAMS, 1.0, 1.0, -1, 5)
 
+    @pytest.mark.parametrize("name,s,t", [
+        ("s", math.inf, 1.0), ("s", math.nan, 1.0), ("s", -1.0, 1.0),
+        ("t", 1.0, math.inf), ("t", 1.0, math.nan), ("t", 1.0, -1.0),
+    ])
+    def test_bad_times_named(self, name, s, t):
+        # rejected before the Poisson marginals are built from them
+        with pytest.raises(DomainError, match=f"^{name} must"):
+            pmf_table(PARAMS, s, t, 3, 3)
+
     @pytest.mark.parametrize("kwargs", [{"method": "magic"}, {"quad_tol": -1.0}])
     def test_bad_route_rejected_when_every_cell_is_pruned(self, kwargs):
         # at s = t = 60 every cell of the 2 x 2 block is pruned, so no
@@ -497,17 +505,39 @@ def mp_mixture(n, a, x):
         ))
 
 
+def mp_term_n1(term, m, y, z, a):
+    """Q_{m,1} or C_{m,1} from the incomplete-gamma form of its integral, to 30 digits.
+
+    With h_1 = a (atom) + (1-a) e^(-x) and P(Bin(m, p) >= 1) = 1 - (1-p)^m,
+    the w-integral of e^(-a w) ((w - z)/(y - z))^m is an incomplete gamma.
+    """
+    with mpmath.workdps(30):
+        y, z, a = mpmath.mpf(y), mpmath.mpf(z), mpmath.mpf(a)
+        v = y - z
+        pim = mpmath.exp(m * mpmath.log(v) - v - mpmath.loggamma(m + 1))
+        lo = -a * z if term == "Q" else 0
+        tail = ((1 - a) * mpmath.exp(-a * z - m * mpmath.log(a * v))
+                * mpmath.gammainc(m + 1, lo, a * v))
+        if term == "Q":
+            body = a * (1 - (-z / v) ** m) + (1 - a) * (1 - mpmath.exp(-a * y)) - tail
+        else:
+            body = (1 - a) * (mpmath.exp(-a * z) - mpmath.exp(-a * y)) - tail
+        return float(pim * body)
+
+
 class TestLargeArguments:
-    # exp(-v) is 0 past v ~ 745; the quadrature helpers must not start there.
+    # exp(-v) is 0 past v ~ 745; the quadrature terms must not start there.
     @pytest.mark.parametrize("v", [800.0, 1600.0, 3000.0])
-    def test_pi_row_keeps_its_mass(self, v):
-        row = _pi_row(int(v + 12.0 * math.sqrt(v)), v)
-        assert math.fsum(row) == pytest.approx(1.0, abs=1e-9)
-        mode = int(v)
-        with mpmath.workdps(30):
-            want = mpmath.exp(mode * mpmath.log(v) - v - mpmath.loggamma(mode + 1))
-        assert row[mode] == pytest.approx(float(want), rel=1e-10)
-        assert row[mode] == poisson_weight(mode, v)
+    @pytest.mark.parametrize("term", ["Q", "C"])
+    def test_quadrature_term_at_large_horizon(self, term, v):
+        # m at the mode of pi_m(y - z); for Q, y = 2 keeps the binomial
+        # tail of the integrand away from 1 over the mass of h_1.
+        y, z = (2.0, 2.0 - v) if term == "Q" else (v + 1.0, 1.0)
+        m = int(v)
+        want = mp_term_n1(term, m, y, z, 0.5)
+        assert want > 1e-3
+        got = quadrature_term(term, m, 1, coords_at(y, z), 0.5)
+        assert abs(got - want) <= 1e-12
 
     @pytest.mark.parametrize("x", [800.0, 1600.0, 3000.0])
     def test_mixture_density_matches_log_space_sum(self, x):

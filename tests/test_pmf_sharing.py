@@ -6,8 +6,12 @@ call per cell, with no work shared between cells.  Its closed values were
 later re-recorded once the closed kernels took every Kummer value from
 the all-positive series, which moved them toward a 40-digit mpmath
 evaluation of the same sums (worst gap 1.6e-13 -> 1.6e-14 on the Q terms,
-7.8e-12 -> 3.0e-13 on the tables); its routes, quadrature and lemma-exact
-values and guard magnitudes are the original recording.  It holds
+7.8e-12 -> 3.0e-13 on the tables).  The quadrature values of the two
+guard-tripping tables were re-recorded once the quadrature terms took
+their Poisson pair sums from the library binomial and Poisson tails
+(63 of 72 cells moved, by at most 6.3e-17).  Its routes, lemma-exact
+values, guard magnitudes and the other quadrature values are the original
+recording.  It holds
 
 * ``terms``: ``[term, m, n, y, z, a, value, max_mag]`` of the Q and C
   kernels on a grid of a in {0.1, 0.5, 0.9}, both signs of z and m <= 40;

@@ -41,6 +41,13 @@ class TestPoissonWeight:
         with pytest.raises(DomainError):
             poisson_weight(-1, 0.5)
 
+    @pytest.mark.parametrize("alpha", [math.inf, math.nan])
+    @pytest.mark.parametrize("n", [0, 3])
+    def test_nonfinite_alpha_rejected(self, n, alpha):
+        # exp(n*inf - inf) would be nan
+        with pytest.raises(DomainError):
+            poisson_weight(n, alpha)
+
     def test_upper_tail_rejects_nan(self):
         with pytest.raises(DomainError):
             poisson_upper_tail(3, math.nan)
