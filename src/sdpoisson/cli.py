@@ -161,46 +161,45 @@ def _build_parser() -> _Parser:
     p_ver = sub.add_parser("verify", help="run the oracle and Monte Carlo check suite")
     add_common(p_ver)
     p_ver.add_argument("--samples", type=int, default=200_000)
-    # --config keys are the long flag names of every command, each mapped
-    # to its argparse action, so the file takes the flags' types and choices
-    parser.config_flags = {
-        opt[2:]: act
-        for p in sub.choices.values()
-        for act in p._actions
-        for opt in act.option_strings
-        if opt.startswith("--") and act.dest not in ("help", "config")
-    }
+    parser.commands = sub.choices
     return parser
 
 
 def _apply_config_file(
-    flags: dict[str, argparse.Action], args: argparse.Namespace, argv: list[str]
-) -> None:
-    if getattr(args, "config", None) is None:
-        return
-    overrides = _read_config_file(args.config)
-    given = {tok.split("=")[0].lstrip("-") for tok in argv if tok.startswith("--")}
-    for key, raw in overrides.items():
-        if key not in flags:
+    parser: _Parser, args: argparse.Namespace, argv: list[str]
+) -> argparse.Namespace:
+    # The file's values become the chosen command's defaults and argv is
+    # parsed again, so argparse converts them and every explicit flag wins,
+    # however it is abbreviated.  Keys are long flag names of any command;
+    # those of other commands are ignored.
+    if args.config is None:
+        return args
+    command = parser.commands[args.command]
+    given = {}
+    for key, raw in _read_config_file(args.config).items():
+        flag = "--" + key
+        if key in ("help", "config") or not any(
+            flag in p._option_string_actions for p in parser.commands.values()
+        ):
             raise DomainError(f"unknown config key {key!r}")
-        act = flags[key]
-        if key in given or not hasattr(args, act.dest):
-            continue  # explicit flags win; irrelevant keys for the command are ignored
-        value = (act.type or str)(raw)
+        if flag in command._option_string_actions:
+            given[key] = act = command._option_string_actions[flag]
+            command.set_defaults(**{act.dest: raw})
+    args = parser.parse_args(argv)
+    for key, act in given.items():
+        value = getattr(args, act.dest)
         if act.choices is not None and value not in act.choices:
             raise DomainError(
-                f"config key {key!r}: {raw!r} is not one of {', '.join(act.choices)}"
+                f"config key {key!r}: {value!r} is not one of {', '.join(act.choices)}"
             )
-        setattr(args, act.dest, value)
+    return args
 
 
 def _run_config(args: argparse.Namespace) -> RunConfig:
-    option_keys = ("n", "m", "s", "t", "m_max", "n_max", "method", "copula", "b", "grid", "samples")
-    options = {k: getattr(args, k) for k in option_keys if hasattr(args, k)}
-    return RunConfig(
-        command=args.command, lam=args.lam, mu=args.mu, a=args.a,
-        seed=args.seed, output=args.output, fmt=args.fmt, options=options,
-    )
+    options = dict(vars(args))
+    del options["config"]
+    common = ("command", "lam", "mu", "a", "seed", "output", "fmt")
+    return RunConfig(**{k: options.pop(k) for k in common}, options=options)
 
 
 def _out_path(config: RunConfig, suffix: str = "", ext: str | None = None) -> Path:
@@ -538,8 +537,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        _apply_config_file(parser.config_flags, args, argv)
-        config = _run_config(args)
+        config = _run_config(_apply_config_file(parser, args, argv))
         ModelParams(lam=config.lam, mu=config.mu, a=config.a)  # domain gate
     except (DomainError, OSError, ValueError) as exc:
         print(f"sdpoisson: usage error: {exc}", file=sys.stderr)

@@ -210,6 +210,11 @@ def mc_joint_pmf_grid(
         raise DomainError(f"n_samples must be >= 1e3, got {n_samples}")
     if not points:
         raise DomainError("points must be non-empty")
+    if m_max < 0 or n_max < 0:
+        raise DomainError(f"m_max, n_max must be >= 0, got {m_max}, {n_max}")
+    for s, t in points:
+        if not (0.0 < s < math.inf and 0.0 < t < math.inf):
+            raise DomainError(f"points need positive finite s and t, got ({s}, {t})")
     seqs = worker_seeds(seed, n_workers)
     share = n_samples // n_workers
     sizes = [share + (1 if i < n_samples % n_workers else 0) for i in range(n_workers)]

@@ -50,7 +50,7 @@ import math
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Literal
+from typing import Literal
 
 import numpy as np
 from scipy.integrate import quad
@@ -67,9 +67,6 @@ from .special import (
     poisson_weight,
 )
 from .special import kummer_elementary  # noqa: F401  perfbench/tracing.py wraps this name
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .harness import McEstimate
 
 __all__ = [
     "Region",
@@ -146,7 +143,6 @@ class PmfReport:
     method_used: str
     closed_form: float | None = None
     quadrature: float | None = None
-    mc: "McEstimate | None" = None
 
 
 def reduced_coords(params: ModelParams, s: float, t: float) -> ReducedCoords:
@@ -552,13 +548,20 @@ def _closed_raw(
     m: int, n: int, coords: ReducedCoords, a: float, side: Region
 ) -> tuple[float, float]:
     # Assemble p_{m,n} from the closed forms; returns (value, max term).
+    # A term that overflows, or whose value or magnitude is not finite,
+    # makes the max term infinite, which trips the cancellation guard.
     y, z = coords.y, _side_z(coords, side)
     total = 0.0
     max_mag = 0.0
-    for sign, term, i, j in _telescope(m, n, side):
-        v, g = _memoized(("closed", term, i, j, y, z, a), _CLOSED[term], i, j, y, z, a)
-        total += sign * v
-        max_mag = max(max_mag, g)
+    try:
+        for sign, term, i, j in _telescope(m, n, side):
+            v, g = _memoized(("closed", term, i, j, y, z, a), _CLOSED[term], i, j, y, z, a)
+            if not math.isfinite(v + g):
+                return math.nan, math.inf
+            total += sign * v
+            max_mag = max(max_mag, g)
+    except OverflowError:
+        return math.nan, math.inf
     return total, max_mag
 
 
@@ -581,7 +584,10 @@ def _one_sided_raw(
     # Evaluate the pmf on a definite side (z sign forced), choosing engine.
     a = params.a
     if method == "closed":
-        return _closed_raw(m, n, coords, a, side)[0], "closed"
+        value, max_mag = _closed_raw(m, n, coords, a, side)
+        if max_mag == math.inf:
+            raise ConsistencyError(f"closed form of p_{{{m},{n}}} is not finite: {coords}")
+        return value, "closed"
     if method == "quadrature":
         return _quadrature_raw(m, n, coords, a, quad_tol, side), "quadrature"
     # auto: closed form inside the validated domain, quadrature outside or

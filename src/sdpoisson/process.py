@@ -116,7 +116,7 @@ def count_at(path: RenewalPath, t: float, which: str) -> int:
     Raises :class:`PathExhaustedError` when t reaches the last simulated
     arrival, where the count would be censored.
     """
-    if t < 0.0:
+    if not t >= 0.0:
         raise DomainError(f"t must be >= 0, got {t}")
     arrivals, _ = _arrivals_for(path, which)
     if t >= arrivals[-1]:

@@ -32,6 +32,13 @@ class TestExitCodes:
             run([])
         assert exc.value.code == EX_USAGE
 
+    def test_closed_overflow_is_runtime_failure(self, tmp_path, capsys):
+        # a ** (-j) overflows in the closed Q term; no traceback escapes
+        code = run(["pmf", "--m", "300", "--n", "0", "--s", "300", "--t", "10", "--a", "0.05",
+                    "--method", "closed", "--output", str(tmp_path / "x.csv")])
+        assert code == EX_FAIL
+        assert "ConsistencyError" in capsys.readouterr().err
+
     def test_unwritable_output(self, tmp_path):
         code = run(["pmf", "--m", "0", "--n", "0", "--s", "1", "--t", "0.4",
                     "--output", str(tmp_path / "no" / "such" / "dir" / "x.csv")])
@@ -218,6 +225,16 @@ class TestConfigPlumbing:
              "--config", str(cfg), "--format", "json", "--output", str(out)])
         payload = json.loads(out.read_text())
         assert payload["config"]["a"] == 0.7
+
+    def test_abbreviated_flag_beats_config(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("lambda=3.0\n")
+        out = tmp_path / "table.json"
+        code = run(["table", "--s", "1", "--t", "1", "--m-max", "3", "--n-max", "3",
+                    "--lam", "2.0", "--config", str(cfg), "--format", "json", "--output", str(out)])
+        assert code == EX_OK
+        payload = json.loads(out.read_text())
+        assert payload["config"]["lam"] == 2.0
 
     def test_unknown_config_key_is_usage_error(self, tmp_path):
         cfg = tmp_path / "run.cfg"

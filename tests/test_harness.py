@@ -131,6 +131,19 @@ class TestEstimates:
         with pytest.raises(DomainError):
             mc_joint_pmf(PARAMS, 0, 0, 1.0, 1.0, n_samples=100, seed=0)
 
+    @pytest.mark.parametrize("m_max,n_max", [(-1, 2), (2, -1)])
+    def test_negative_block_rejected(self, m_max, n_max):
+        with pytest.raises(DomainError):
+            mc_joint_pmf_grid(PARAMS, [(1.0, 1.0)], m_max, n_max, 1000, seed=0)
+
+    @pytest.mark.parametrize("point", [
+        (-1.0, 1.0), (1.0, -1.0), (0.0, 1.0), (1.0, math.nan),
+    ])
+    def test_bad_point_rejected(self, point):
+        # times follow the rule of reduced_coords: positive and finite
+        with pytest.raises(DomainError):
+            mc_joint_pmf_grid(PARAMS, [(1.0, 0.5), point], 2, 2, 1000, seed=0)
+
 
 class TestCompare:
     def test_pass_within_band(self):

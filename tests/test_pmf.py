@@ -392,6 +392,21 @@ class TestJointPmf:
         assert r.method_used == "quadrature"
         assert 0.0 <= r.value <= 1.0
 
+    def test_auto_reroutes_an_overflowing_closed_form(self):
+        # a ** (-j) overflows in the closed Q term at a = 1e-7
+        r = joint_pmf(ModelParams(1, 1, 1e-7), 45, 0, 45.0, 1e-6)
+        assert r.method_used == "quadrature"
+        assert r.value == pytest.approx(0.05936071698, rel=1e-9)
+
+    def test_auto_reroutes_a_nan_closed_form(self):
+        # the closed form of p_{44,2} is nan with a small guard magnitude
+        table = pmf_table(ModelParams(1, 1, 1e-7), 45.0, 1e-6, 60, 2)
+        assert table.values[44, 2] == pytest.approx(2.964e-14, rel=1e-3)
+
+    def test_closed_overflow_names_the_cell(self):
+        with pytest.raises(ConsistencyError, match=r"p_\{300,0\}"):
+            joint_pmf(ModelParams(1, 1, 0.05), 300, 0, 300.0, 10.0, method="closed")
+
     def test_against_mc(self):
         est = mc_joint_pmf(PARAMS, 0, 0, 1.0, 0.4, n_samples=200_000, seed=8)
         assert abs(est.value - math.exp(-1.0)) < 3.5 * est.std_error

@@ -162,6 +162,13 @@ class TestCounting:
         with pytest.raises(DomainError):
             count_at(self.path, 1.0, "X")
 
+    @pytest.mark.parametrize("which", ["N", "M"])
+    def test_nan_time_rejected(self, which):
+        with pytest.raises(DomainError):
+            count_at(self.path, math.nan, which)
+        with pytest.raises(DomainError):
+            compensated_at(self.path, math.nan, which)
+
     def test_compensated_values(self):
         t = 5.0
         n = count_at(self.path, t, "N")

@@ -52,6 +52,13 @@ class TestPoissonWeight:
         with pytest.raises(DomainError):
             poisson_upper_tail(3, math.nan)
 
+    @pytest.mark.parametrize("k,alpha", [(0, math.nan), (-2, math.nan), (2.5, 1.0), (3.0, 1.0)])
+    def test_upper_tail_rejects_bad_arguments(self, k, alpha):
+        # a nan rate is rejected even where the tail is 1 for every rate,
+        # and a non-integer k would read the regularized gamma at k
+        with pytest.raises(DomainError):
+            poisson_upper_tail(k, alpha)
+
     @pytest.mark.parametrize("alpha", [0.1, 1.0, 10.0])
     def test_mass_sums_to_one_with_small_tail(self, alpha):
         k_cut = int(alpha + 10.0 * math.sqrt(alpha) + 20.0)
@@ -104,6 +111,11 @@ class TestErlangDensity:
     def test_matches_shifted_poisson_weight(self):
         law = erlang_density(4)
         assert law.density(2.0) == pytest.approx(poisson_weight(3, 2.0), rel=1e-14)
+
+    @pytest.mark.parametrize("n", [1, 4])
+    def test_nan_argument_rejected(self, n):
+        with pytest.raises(DomainError):
+            erlang_density(n).density(math.nan)
 
     @pytest.mark.parametrize("n", [1, 2, 5])
     def test_normalization_by_quadrature(self, n):
