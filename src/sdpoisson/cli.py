@@ -165,33 +165,32 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _apply_config_file(
-    parser: _Parser, args: argparse.Namespace, argv: list[str]
-) -> argparse.Namespace:
-    # The file's values become the chosen command's defaults and argv is
-    # parsed again, so argparse converts them and every explicit flag wins,
-    # however it is abbreviated.  Keys are long flag names of any command;
-    # those of other commands are ignored.
-    if args.config is None:
-        return args
-    command = parser.commands[args.command]
-    given = {}
-    for key, raw in _read_config_file(args.config).items():
+def _parse_args(parser: _Parser, argv: list[str]) -> argparse.Namespace:
+    # The file's values become the defaults of every command that has the
+    # flag, which is then no longer required, and argv is parsed once: so
+    # argparse converts them and every explicit flag wins, however it is
+    # abbreviated.  Keys are long flag names of any command.
+    pre = _Parser(prog=parser.prog, add_help=False)
+    pre.add_argument("--config")
+    path = pre.parse_known_args(argv)[0].config
+    values = _read_config_file(path) if path is not None else {}
+    for key, raw in values.items():
         flag = "--" + key
-        if key in ("help", "config") or not any(
-            flag in p._option_string_actions for p in parser.commands.values()
-        ):
+        owners = [p for p in parser.commands.values() if flag in p._option_string_actions]
+        if key in ("help", "config") or not owners:
             raise DomainError(f"unknown config key {key!r}")
-        if flag in command._option_string_actions:
-            given[key] = act = command._option_string_actions[flag]
-            command.set_defaults(**{act.dest: raw})
+        for p in owners:
+            act = p._option_string_actions[flag]
+            act.default, act.required = raw, False
     args = parser.parse_args(argv)
-    for key, act in given.items():
+    actions = parser.commands[args.command]._option_string_actions
+    for key in values:
+        act = actions.get("--" + key)
+        if act is None or act.choices is None:
+            continue
         value = getattr(args, act.dest)
-        if act.choices is not None and value not in act.choices:
-            raise DomainError(
-                f"config key {key!r}: {value!r} is not one of {', '.join(act.choices)}"
-            )
+        if value not in act.choices:
+            raise DomainError(f"config key {key!r}: {value!r} is not one of {', '.join(act.choices)}")
     return args
 
 
@@ -535,9 +534,8 @@ _COMMANDS = {
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
-        config = _run_config(_apply_config_file(parser, args, argv))
+        config = _run_config(_parse_args(parser, argv))
         ModelParams(lam=config.lam, mu=config.mu, a=config.a)  # domain gate
     except (DomainError, OSError, ValueError) as exc:
         print(f"sdpoisson: usage error: {exc}", file=sys.stderr)

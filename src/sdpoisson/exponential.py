@@ -80,20 +80,25 @@ class CorrelationTriple:
     r_xza: float
 
 
+def _draw_triples(lam: float, a: float, size, rng) -> tuple[np.ndarray, ...]:
+    # The one owner of the draw order of sample_triples, for any a in
+    # [0, 1].  At a = 0 every b is 1 and x = z; at a = 1 every b is 0 and
+    # x = y, both bit for bit.
+    accept = rng.random(size) < 1.0 - a
+    scale = 1.0 / lam
+    y = rng.exponential(scale, size)
+    z = rng.exponential(scale, size)
+    return a * y + accept * z, y, z, accept
+
+
 def sample_triple(params: ModelParams, rng) -> TripleSample:
     """Draw one (x, y, z, b) with y, z ~ Exp(lam) and P(b = 1) = 1 - a.
 
-    Consumes three variates whatever the outcome of b.  A single triple
-    matches ``sample_triples(params, 1, rng)``; for more than one, the
-    block stream of :func:`sample_triples` is the package's contract and
-    every renewal path draws through it.
+    The first triple of ``sample_triples(params, 1, rng)``: three variates
+    whatever the outcome of b.
     """
-    a = params.a
-    b = 1 if rng.random() < 1.0 - a else 0
-    scale = 1.0 / params.lam
-    y = rng.exponential(scale)
-    z = rng.exponential(scale)
-    return TripleSample(x=a * y + b * z, y=y, z=z, b=b)
+    x, y, z, accept = _draw_triples(params.lam, params.a, 1, rng)
+    return TripleSample(x=float(x[0]), y=float(y[0]), z=float(z[0]), b=int(accept[0]))
 
 
 def sample_triples(params: ModelParams, size, rng) -> tuple[np.ndarray, ...]:
@@ -108,41 +113,33 @@ def sample_triples(params: ModelParams, size, rng) -> tuple[np.ndarray, ...]:
     """
     if np.any(np.asarray(size) < 0):
         raise DomainError(f"size must be >= 0, got {size}")
-    a = params.a
-    accept = rng.random(size) < 1.0 - a
-    scale = 1.0 / params.lam
-    y = rng.exponential(scale, size)
-    z = rng.exponential(scale, size)
-    x = a * y + accept * z
-    return x, y, z, accept
+    return _draw_triples(params.lam, params.a, size, rng)
+
+
+def _limit_pair(lam: float, a: float, rng) -> tuple[float, float]:
+    if lam <= 0.0:
+        raise DomainError(f"lam must be > 0, got {lam}")
+    x, y, _, _ = _draw_triples(lam, a, 1, rng)
+    return float(x[0]), float(y[0])
 
 
 def sample_pair_independent(lam: float, rng) -> tuple[float, float]:
     """The a -> 0 limit: (x, y) independent Exp(lam) variables.
 
     In the limit the rescaled component a*Y vanishes and b = 1 almost
-    surely, leaving x = z independent of y.  Consumes three variates in
-    the same order as :func:`sample_triple` for stream compatibility.
+    surely, leaving x = z independent of y.  Draws the triple stream at
+    a = 0, so it consumes three variates like :func:`sample_triple`.
     """
-    if lam <= 0.0:
-        raise DomainError(f"lam must be > 0, got {lam}")
-    rng.random()
-    y = rng.exponential(1.0 / lam)
-    z = rng.exponential(1.0 / lam)
-    return z, y
+    return _limit_pair(lam, 0.0, rng)
 
 
 def sample_pair_comonotone(lam: float, rng) -> tuple[float, float]:
     """The a -> 1 limit: x = y almost surely, both Exp(lam).
 
-    Consumes three variates in the same order as :func:`sample_triple`.
+    Draws the triple stream at a = 1, consuming three variates like
+    :func:`sample_triple`.
     """
-    if lam <= 0.0:
-        raise DomainError(f"lam must be > 0, got {lam}")
-    rng.random()
-    y = rng.exponential(1.0 / lam)
-    rng.exponential(1.0 / lam)
-    return y, y
+    return _limit_pair(lam, 1.0, rng)
 
 
 def za_cdf(z: float, params: ModelParams) -> float:

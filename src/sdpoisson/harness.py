@@ -34,7 +34,8 @@ __all__ = [
 ]
 
 # Paths per simulation batch.  Each (batch x renewals) float64 draw array
-# is 0.8 MB per renewal: about 117 MB at horizon 40 (146 renewals).
+# is 0.8 MB per renewal: about 117 MB at horizon 40 (146 renewals).  The
+# counts read only its first n_max + 1 (x) or m_max + 1 (y) columns.
 _BATCH = 100_000
 
 
@@ -104,6 +105,8 @@ def sample_correlation(x: np.ndarray, y: np.ndarray, n_batches: int = 100) -> Mc
     into ``n_batches`` blocks, the correlation is computed per block, and
     the SE of the pooled estimate is std(blocks)/sqrt(n_batches).
     """
+    if n_batches < 2:
+        raise DomainError(f"n_batches must be >= 2, got {n_batches}")
     n = len(x)
     if n != len(y) or n < 2 * n_batches:
         raise DomainError(f"need matched samples with >= {2 * n_batches} points")
@@ -155,8 +158,10 @@ def _count_grid(
     """Counts of {M(s)=m, N(t)=n} per (s,t) point over one seeded stream.
 
     Each batch is one ``sample_triples(params, (batch, k_renewals), rng)``
-    draw, so the stream follows that function's contract.  Counts beyond
-    the requested block are accumulated in an overflow row/column so the
+    draw, so the stream follows that function's contract.  Only the first
+    n_max + 1 columns of x and m_max + 1 of y are summed and compared: the
+    chains never decrease, so they count exactly min(N(t), n_max + 1) and
+    min(M(s), m_max + 1).  The last row/column holds the overflow, so the
     returned array always totals n_samples per point.
     """
     rng = np.random.default_rng(seed_seq)
@@ -174,16 +179,12 @@ def _count_grid(
         batch = min(_BATCH, n_samples - done)
         done += batch
         x, y = sample_triples(params, (batch, k_renewals), rng)[:2]
-        t_arr = np.cumsum(x, axis=1)
-        s_arr = (params.lam / params.mu) * np.cumsum(y, axis=1)
+        t_arr = np.cumsum(x[:, :n_max + 1], axis=1)
+        s_arr = (params.lam / params.mu) * np.cumsum(y[:, :m_max + 1], axis=1)
         for i, (s_q, t_q) in enumerate(points):
             n_cnt = (t_arr <= t_q).sum(axis=1)
             m_cnt = (s_arr <= s_q).sum(axis=1)
-            np.add.at(
-                counts,
-                (i, np.minimum(m_cnt, m_max + 1), np.minimum(n_cnt, n_max + 1)),
-                1,
-            )
+            np.add.at(counts, (i, m_cnt, n_cnt), 1)
     return counts
 
 

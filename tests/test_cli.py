@@ -236,6 +236,32 @@ class TestConfigPlumbing:
         payload = json.loads(out.read_text())
         assert payload["config"]["lam"] == 2.0
 
+    def test_config_supplies_required_pmf_flags(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("m=1\nn=1\ns=1.0\nt=0.4\n")
+        from_file, explicit = tmp_path / "file.csv", tmp_path / "flags.csv"
+        assert run(["pmf", "--config", str(cfg), "--output", str(from_file)]) == EX_OK
+        assert run(["pmf", "--m", "1", "--n", "1", "--s", "1.0", "--t", "0.4",
+                    "--output", str(explicit)]) == EX_OK
+        assert from_file.read_bytes() == explicit.read_bytes()
+
+    def test_config_supplies_required_table_flags(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("s=1.5\nt=0.6\n")
+        from_file, explicit = tmp_path / "file.csv", tmp_path / "flags.csv"
+        block = ["--m-max", "4", "--n-max", "3"]
+        assert run(["table", *block, "--config", str(cfg), "--output", str(from_file)]) == EX_OK
+        assert run(["table", *block, "--s", "1.5", "--t", "0.6",
+                    "--output", str(explicit)]) == EX_OK
+        assert from_file.read_bytes() == explicit.read_bytes()
+
+    def test_other_commands_keys_are_ignored(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("samples=5000\n")
+        code = run(["table", "--s", "1", "--t", "1", "--m-max", "2", "--n-max", "2",
+                    "--config", str(cfg), "--output", str(tmp_path / "t.csv")])
+        assert code == EX_OK
+
     def test_unknown_config_key_is_usage_error(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("bogus=1\n")

@@ -33,11 +33,15 @@ class _ScriptedRng:
         self._u = list(uniforms)
         self._e = list(exponentials)
 
-    def random(self):
-        return self._u.pop(0)
+    @staticmethod
+    def _take(queue, size):
+        return np.array([queue.pop(0) for _ in range(size)])
 
-    def exponential(self, scale):
-        return self._e.pop(0) * scale
+    def random(self, size):
+        return self._take(self._u, size)
+
+    def exponential(self, scale, size):
+        return self._take(self._e, size) * scale
 
 
 class TestModelParams:

@@ -1,5 +1,6 @@
 """Monte Carlo machinery: reproducibility, parallel merge, verdicts."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -70,6 +71,17 @@ class TestReproducibility:
             [[76, 20, 2, 0], [88, 172, 32, 4], [106, 161, 176, 17], [209, 314, 271, 352]],
         ]
         assert np.array_equal(freq, np.array(counts) / 2000)
+        # Three batches per worker stream, three points, and the process
+        # pool: SHA-256 prefixes recorded when the kernel still scanned
+        # every drawn renewal.
+        for n_workers, parallel, digest in [
+            (1, False, "174ea20d02011e50"), (4, True, "9d72d6bd58424de5"),
+        ]:
+            freq = mc_joint_pmf_grid(
+                ModelParams(1.2, 0.8, 0.45), [(1.0, 0.4), (2.5, 1.5), (4.0, 3.0)], 4, 4,
+                250_000, 11, n_workers=n_workers, parallel=parallel,
+            )
+            assert hashlib.sha256(freq.tobytes()).hexdigest()[:16] == digest
 
 
 class TestParallelMerge:
@@ -171,6 +183,11 @@ class TestCompare:
 
 
 class TestSampleCorrelation:
+    @pytest.mark.parametrize("n_batches", [0, 1, -5])
+    def test_too_few_batches_rejected(self, n_batches):
+        with pytest.raises(DomainError):
+            sample_correlation(np.arange(10.0), np.arange(10.0), n_batches=n_batches)
+
     def test_requires_matched_lengths(self):
         with pytest.raises(DomainError):
             sample_correlation(np.zeros(10), np.zeros(11))
