@@ -50,7 +50,7 @@ import math
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
-from typing import Literal
+from typing import Literal, get_args
 
 import numpy as np
 from scipy.integrate import quad
@@ -618,8 +618,8 @@ def _region_raw(
 
 
 def _check_method(method: str, quad_tol: float) -> None:
-    if method not in ("closed", "quadrature", "auto"):
-        raise DomainError(f"method must be 'closed', 'quadrature' or 'auto', got {method!r}")
+    if method not in get_args(Method):
+        raise DomainError(f"method must be one of {get_args(Method)}, got {method!r}")
     if not quad_tol > 0.0:
         raise DomainError(f"quad_tol must be > 0, got {quad_tol}")
 

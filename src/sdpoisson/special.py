@@ -272,10 +272,16 @@ def kummer_elementary(alpha: int, beta: int, x: float) -> float:
     this reduction is the paper's, kept for checking against it.
     """
     _check_kummer_args(alpha, beta, x)
-    if alpha == 0:
+    if alpha == 0 or x == 0.0:
         return 1.0
-    if x == 0.0:
-        return 1.0
+    value = _kummer_reduction(alpha, beta, x)
+    return kummer_series(alpha, beta, x) if value is None else value
+
+
+def _kummer_reduction(alpha: int, beta: int, x: float) -> float | None:
+    # The alternating sum of kummer_elementary, for alpha >= 1 and x > 0,
+    # or None wherever it cannot be trusted: a term underflows or would
+    # overflow, or the cancellation guard trips.
     log_x = math.log(x)
     terms = []
     for g in range(alpha):
@@ -286,14 +292,14 @@ def kummer_elementary(alpha: int, beta: int, x: float) -> float:
         if tail == 0.0:
             # mathematically positive, so this is underflow; the closed
             # form's cancellation bookkeeping is broken at such x
-            return kummer_series(alpha, beta, x)
+            return None
         log_comb = (
             math.lgamma(beta - g) - math.lgamma(beta - alpha + 1) - math.lgamma(alpha - g)
         )
         if log_comb + log_ratio + math.log(tail) > 700.0:
             # x far below beta: the x^(g-beta) blowup both overflows and
             # cancels catastrophically; the positive-term series is exact.
-            return kummer_series(alpha, beta, x)
+            return None
         if log_comb + log_ratio > 690.0:
             # finite term but exact-integer assembly would overflow en route
             term = math.exp(log_comb + log_ratio + math.log(tail))
@@ -304,5 +310,5 @@ def kummer_elementary(alpha: int, beta: int, x: float) -> float:
     # Phi(alpha; beta+1; x) >= 1 for x >= 0 (positive series); a smaller
     # result is itself evidence of catastrophic cancellation.
     if result < 1.0 or max(map(abs, terms)) > KUMMER_CANCEL_GUARD * abs(result):
-        return kummer_series(alpha, beta, x)
+        return None
     return result

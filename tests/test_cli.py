@@ -9,6 +9,7 @@ import pytest
 from sdpoisson.cli import EX_FAIL, EX_OK, EX_USAGE, RunConfig, _write_csv, main
 from sdpoisson.exponential import ModelParams
 from sdpoisson.pmf import joint_pmf
+from sdpoisson.process import compensated_at, simulate_path
 
 
 def run(args):
@@ -38,6 +39,13 @@ class TestExitCodes:
                     "--method", "closed", "--output", str(tmp_path / "x.csv")])
         assert code == EX_FAIL
         assert "ConsistencyError" in capsys.readouterr().err
+
+    def test_domain_error_in_command_is_usage_error(self, tmp_path, capsys):
+        # the grid check runs inside the command, after the flags parsed
+        code = run(["copula", "--grid", "1", "--output", str(tmp_path / "cop.csv")])
+        assert code == EX_USAGE
+        assert "usage error" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_unwritable_output(self, tmp_path):
         code = run(["pmf", "--m", "0", "--n", "0", "--s", "1", "--t", "0.4",
@@ -123,6 +131,23 @@ class TestSimulateCommand:
         assert lines[0] == "k,x,y,t_n,s_n,t_centered,s_centered"
         assert len([ln for ln in lines if ln]) == 11  # header + 10 renewals
 
+    def test_json_rows_match_library(self, tmp_path):
+        out = tmp_path / "sim.json"
+        assert run(["simulate", "--n", "40", "--lambda", "1.5", "--mu", "0.8", "--a", "0.3",
+                    "--seed", "11", "--format", "json", "--output", str(out)]) == EX_OK
+        results = json.loads(out.read_text())["results"]
+        lam, mu = 1.5, 0.8
+        path = simulate_path(ModelParams(lam=lam, mu=mu, a=0.3), 40, 11)
+        x, y, t_n, s_n = path.x_steps, path.y_steps, path.t_arrivals, path.s_arrivals
+        assert results["renewals"] == [
+            [k, x[k - 1], y[k - 1], t_n[k], s_n[k], t_n[k] - k / lam, s_n[k] - k / mu]
+            for k in range(1, 41)
+        ]
+        assert len(results["compensated"]) > 40
+        for time, n_comp, m_comp in results["compensated"]:
+            assert [n_comp, m_comp] == [compensated_at(path, time, "N"),
+                                        compensated_at(path, time, "M")]
+
 
 class TestTableCommand:
     def test_outputs_and_summary(self, tmp_path):
@@ -158,6 +183,17 @@ class TestCopulaCommand:
         for row in rows:
             u, v, value, lower, upper = map(float, row.split(","))
             assert lower - 1e-14 <= value <= upper + 1e-14
+
+    def test_json_values_match_csv(self, tmp_path):
+        args = ["copula", "--copula", "gumbel", "--a", "0.4", "--lambda", "1.3", "--grid", "7"]
+        assert run(args + ["--output", str(tmp_path / "cop.csv")]) == EX_OK
+        assert run(args + ["--format", "json", "--output", str(tmp_path / "cop.json")]) == EX_OK
+        csv_rows = [[float(v) for v in line.split(",")]
+                    for line in (tmp_path / "cop.csv").read_text().splitlines()[1:]]
+        results = json.loads((tmp_path / "cop.json").read_text())["results"]
+        assert (results["copula"], results["grid"]) == ("gumbel", 7)
+        assert results["values"] == csv_rows  # %.17g round-trips exactly
+        assert len(csv_rows) == 49
 
     def test_all_families_run(self, tmp_path):
         for kind in ("gumbel", "marshall-olkin", "raftery", "frechet-lower",
@@ -203,6 +239,25 @@ class TestVerifyCommand:
             cli_mod, "_verify_checks", lambda cfg: fake_checks(["fail", "inconclusive"])
         )
         assert run(base) == 1  # fail dominates inconclusive
+
+    def test_kummer_check_catches_a_wrong_reduction(self, tmp_path, capsys, monkeypatch):
+        import sdpoisson.cli as cli_mod
+
+        real = cli_mod._kummer_reduction
+
+        def off_by_1e9(alpha, beta, x):
+            value = real(alpha, beta, x)
+            return None if value is None else value * (1 + 1e-9)
+
+        monkeypatch.setattr(cli_mod, "_kummer_reduction", off_by_1e9)
+        out = tmp_path / "v.json"
+        assert run(["verify", "--samples", "5000", "--format", "json",
+                    "--output", str(out)]) == EX_FAIL
+        checks = {c["name"]: c for c in json.loads(out.read_text())["checks"]}
+        kummer = checks["kummer-reduction"]
+        assert kummer["verdict"] == "fail"
+        assert "over 218 points, 57 fell back" in kummer["detail"]
+        assert "[FAIL        ] kummer-reduction" in capsys.readouterr().out
 
 
 class TestConfigPlumbing:

@@ -386,6 +386,35 @@ class TestJointPmf:
         quadr = joint_pmf(PARAMS, 2, 1, 1.0, 0.5, method="quadrature")
         assert r.quadrature == quadr.raw
 
+    def test_one_sided_limits_that_disagree_raise(self, monkeypatch):
+        # at z = 0 the negative side of p_{1,1} is the Q term alone
+        import sdpoisson.pmf as pmf
+
+        real = pmf._CLOSED["Q"]
+
+        def shifted_q(*args):
+            value, mag = real(*args)
+            return value + 1e-6, mag
+
+        monkeypatch.setitem(pmf._CLOSED, "Q", shifted_q)
+        with pytest.raises(ConsistencyError, match="one-sided limits at z=0 disagree"):
+            joint_pmf(ModelParams(1, 1, 0.5), 1, 1, 1.0, 0.5, method="closed")
+
+    def test_crosscheck_gap_raises(self, monkeypatch):
+        # one telescoped term only: an offset on every term cancels in the
+        # signed sum
+        import sdpoisson.pmf as pmf
+
+        real = pmf.quadrature_term
+
+        def shifted_a21(term, i, j, *args, **kw):
+            value = real(term, i, j, *args, **kw)
+            return value + 1e-5 if (term, i, j) == ("A", 2, 1) else value
+
+        monkeypatch.setattr(pmf, "quadrature_term", shifted_a21)
+        with pytest.raises(ConsistencyError, match="closed form and quadrature disagree"):
+            joint_pmf(PARAMS, 2, 1, 1.0, 0.8, crosscheck=True)
+
     def test_auto_falls_back_on_cancellation(self):
         # far outside the desk box the guard must reroute to quadrature
         r = joint_pmf(PARAMS, 25, 22, 30.0, 28.0, method="auto")
@@ -506,6 +535,21 @@ class TestPmfTable:
 
         monkeypatch.setattr(pmf, "joint_pmf", halve_one_cell)
         with pytest.raises(ConsistencyError):
+            pmf_table(PARAMS, 1.0, 1.0, 12, 12)
+
+    def test_excess_mass_raises(self, monkeypatch):
+        import sdpoisson.pmf as pmf
+
+        real = pmf.joint_pmf
+
+        def double_one_cell(params, m, n, s, t, **kw):
+            report = real(params, m, n, s, t, **kw)
+            if (m, n) == (1, 1):
+                report = dataclasses.replace(report, value=2.0 * report.value)
+            return report
+
+        monkeypatch.setattr(pmf, "joint_pmf", double_one_cell)
+        with pytest.raises(ConsistencyError, match="pmf table total exceeds 1"):
             pmf_table(PARAMS, 1.0, 1.0, 12, 12)
 
 
