@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -80,14 +81,30 @@ class CorrelationTriple:
     r_xza: float
 
 
-def _draw_triples(lam: float, a: float, size, rng) -> tuple[np.ndarray, ...]:
+_CHUNK = 2**18  # variates per row chunk of a column-prefix draw (2 MB)
+
+
+def _draw(draw, size, columns):
+    # draw(size), or its first `columns` columns.  The generator fills in
+    # C order, so successive row chunks consume it exactly as one block.
+    if columns is None or columns >= size[1]:
+        return draw(size)
+    rows, cols = size
+    out = np.empty((rows, columns))
+    step = max(1, _CHUNK // cols)
+    for r in range(0, rows, step):
+        out[r:r + step] = draw((min(step, rows - r), cols))[:, :columns]
+    return out
+
+
+def _draw_triples(lam: float, a: float, size, rng, columns=None) -> tuple[np.ndarray, ...]:
     # The one owner of the draw order of sample_triples, for any a in
     # [0, 1].  At a = 0 every b is 1 and x = z; at a = 1 every b is 0 and
-    # x = y, both bit for bit.
-    accept = rng.random(size) < 1.0 - a
+    # x = y, both bit for bit.  Only `columns` columns are kept (_draw).
     scale = 1.0 / lam
-    y = rng.exponential(scale, size)
-    z = rng.exponential(scale, size)
+    accept = _draw(rng.random, size, columns) < 1.0 - a
+    y = _draw(partial(rng.exponential, scale), size, columns)
+    z = _draw(partial(rng.exponential, scale), size, columns)
     return a * y + accept * z, y, z, accept
 
 
@@ -101,7 +118,7 @@ def sample_triple(params: ModelParams, rng) -> TripleSample:
     return TripleSample(x=float(x[0]), y=float(y[0]), z=float(z[0]), b=int(accept[0]))
 
 
-def sample_triples(params: ModelParams, size, rng) -> tuple[np.ndarray, ...]:
+def sample_triples(params: ModelParams, size, rng, *, columns=None) -> tuple[np.ndarray, ...]:
     """Arrays (x, y, z, b) of i.i.d. triples; the package's stream contract.
 
     ``b`` is the boolean acceptance mask.  ``size`` is a count or an array
@@ -110,10 +127,17 @@ def sample_triples(params: ModelParams, size, rng) -> tuple[np.ndarray, ...]:
     exponentials for z.  ``simulate_path``,
     ``sdpoisson simulate`` and the Monte Carlo kernel all draw through
     here, so one seed denotes the same triples in each.
+
+    With ``columns``, ``size`` must be a 2-D shape ``(rows, cols)``: the
+    call returns the first ``columns`` columns of that draw, made in row
+    chunks, and leaves the generator exactly where the full draw would,
+    in ``rows * columns`` memory instead of ``rows * cols``.
     """
     if np.any(np.asarray(size) < 0):
         raise DomainError(f"size must be >= 0, got {size}")
-    return _draw_triples(params.lam, params.a, size, rng)
+    if columns is not None and (np.ndim(size) != 1 or len(size) != 2 or columns < 0):
+        raise DomainError(f"columns={columns} needs a 2-D size and columns >= 0, got {size}")
+    return _draw_triples(params.lam, params.a, size, rng, columns)
 
 
 def _limit_pair(lam: float, a: float, rng) -> tuple[float, float]:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import enum
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -33,9 +34,9 @@ __all__ = [
     "renewals_for_horizon",
 ]
 
-# Paths per simulation batch.  Each (batch x renewals) float64 draw array
-# is 0.8 MB per renewal: about 117 MB at horizon 40 (146 renewals).  The
-# counts read only its first n_max + 1 (x) or m_max + 1 (y) columns.
+# Paths per simulation batch.  Of each (batch x renewals) draw a batch keeps
+# only the max(m_max, n_max) + 1 columns its counts read: its peak is about
+# batch x that width x 33 bytes at any horizon (32 MiB for a 10 x 8 block).
 _BATCH = 100_000
 
 
@@ -157,8 +158,10 @@ def _count_grid(
 ) -> np.ndarray:
     """Counts of {M(s)=m, N(t)=n} per (s,t) point over one seeded stream.
 
-    Each batch is one ``sample_triples(params, (batch, k_renewals), rng)``
-    draw, so the stream follows that function's contract.  Only the first
+    Each batch is one ``sample_triples(params, (batch, k_renewals), rng,
+    columns=max(m_max, n_max) + 1)`` draw: the stream of the full block,
+    of which only the columns the counts read are kept, so memory grows
+    with the block width and not with the horizon.  Only the first
     n_max + 1 columns of x and m_max + 1 of y are summed and compared: the
     chains never decrease, so they count exactly min(N(t), n_max + 1) and
     min(M(s), m_max + 1).  The last row/column holds the overflow, so the
@@ -173,12 +176,13 @@ def _count_grid(
         renewals_for_horizon(params.lam, horizon_t),
         renewals_for_horizon(params.mu, horizon_s),
     )
+    keep = max(m_max, n_max) + 1
     counts = np.zeros((len(points), m_max + 2, n_max + 2), dtype=np.int64)
     done = 0
     while done < n_samples:
         batch = min(_BATCH, n_samples - done)
         done += batch
-        x, y = sample_triples(params, (batch, k_renewals), rng)[:2]
+        x, y = sample_triples(params, (batch, k_renewals), rng, columns=keep)[:2]
         t_arr = np.cumsum(x[:, :n_max + 1], axis=1)
         s_arr = (params.lam / params.mu) * np.cumsum(y[:, :m_max + 1], axis=1)
         for i, (s_q, t_q) in enumerate(points):
@@ -220,7 +224,9 @@ def mc_joint_pmf_grid(
     share = n_samples // n_workers
     sizes = [share + (1 if i < n_samples % n_workers else 0) for i in range(n_workers)]
     if parallel and n_workers > 1:
-        with ProcessPoolExecutor(max_workers=n_workers) as pool:
+        # each worker holds its own draw block; more than the usable CPUs only add memory
+        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+        with ProcessPoolExecutor(max_workers=min(n_workers, cpus or 1)) as pool:
             futures = [
                 pool.submit(_count_grid, params, points, m_max, n_max, sz, sq)
                 for sz, sq in zip(sizes, seqs)

@@ -121,6 +121,41 @@ class TestSampleTriple:
         assert tuple(v[0] for v in block) == (trips[0].x, trips[0].y, trips[0].z, trips[0].b)
 
 
+class TestColumnPrefix:
+    """The chunked prefix draw the Monte Carlo kernel relies on."""
+
+    @pytest.mark.parametrize("rows,cols,columns", [
+        (0, 5, 2), (1, 1, 1), (3, 7, 1),
+        (2001, 146, 11),  # rows not a multiple of the row chunk
+        (700, 2110, 300),
+        (50, 4, 9),  # columns wider than the block
+    ])
+    def test_prefix_is_the_full_draw_cut(self, rows, cols, columns):
+        params = ModelParams(1.3, 0.7, 0.35)
+        full_rng, prefix_rng = np.random.default_rng(17), np.random.default_rng(17)
+        full = sample_triples(params, (rows, cols), full_rng)
+        prefix = sample_triples(params, (rows, cols), prefix_rng, columns=columns)
+        for f, p in zip(full, prefix):
+            assert p.dtype == f.dtype
+            assert np.array_equal(f[:, :columns], p)
+        assert prefix_rng.bit_generator.state == full_rng.bit_generator.state
+
+    @pytest.mark.parametrize("draw", ["random", "exponential"])
+    def test_row_chunks_consume_the_stream_as_one_block(self, draw):
+        # numpy fills in C order, and the prefix draw depends on it
+        block_rng, chunk_rng = np.random.default_rng(3), np.random.default_rng(3)
+        block = getattr(block_rng, draw)(size=(1000, 37))
+        chunks = [getattr(chunk_rng, draw)(size=(h, 37)) for h in (1, 300, 699)]
+        assert np.array_equal(np.concatenate(chunks), block)
+        assert chunk_rng.bit_generator.state == block_rng.bit_generator.state
+
+    @pytest.mark.parametrize("size,columns", [(10, 2), ((2, 3, 4), 2), ((4, 5), -1)])
+    def test_columns_needs_a_2d_size(self, size, columns):
+        with pytest.raises(DomainError):
+            sample_triples(ModelParams(1.0, 1.0, 0.5), size, np.random.default_rng(0),
+                           columns=columns)
+
+
 class TestLimitSamplers:
     def test_independent_pair(self):
         rng = _ScriptedRng([0.5], [1.5, 0.4])
