@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import enum
 import math
-import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -224,9 +223,7 @@ def mc_joint_pmf_grid(
     share = n_samples // n_workers
     sizes = [share + (1 if i < n_samples % n_workers else 0) for i in range(n_workers)]
     if parallel and n_workers > 1:
-        # each worker holds its own draw block; more than the usable CPUs only add memory
-        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-        with ProcessPoolExecutor(max_workers=min(n_workers, cpus or 1)) as pool:
+        with ProcessPoolExecutor(max_workers=n_workers) as pool:
             futures = [
                 pool.submit(_count_grid, params, points, m_max, n_max, sz, sq)
                 for sz, sq in zip(sizes, seqs)

@@ -2,14 +2,11 @@
 
 import hashlib
 import math
-import os
 import tracemalloc
-from concurrent.futures import Future
 
 import numpy as np
 import pytest
 
-import sdpoisson.harness as harness
 from sdpoisson.errors import DomainError
 from sdpoisson.exponential import ModelParams
 from sdpoisson.harness import (
@@ -87,7 +84,6 @@ class TestReproducibility:
             )
             assert hashlib.sha256(freq.tobytes()).hexdigest()[:16] == digest
 
-
     def test_memory_flat_in_the_horizon(self):
         # tracemalloc sees numpy's buffers; the full (batch x renewals)
         # block would grow 14-fold from horizon 40 (146 renewals) to 1600
@@ -102,43 +98,7 @@ class TestReproducibility:
         assert peaks[1] <= 1.5 * peaks[0]
 
 
-class _InlinePool:
-    """A process pool stand-in that records max_workers and runs inline."""
-
-    def __init__(self, seen, max_workers):
-        seen.append(max_workers)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def submit(self, fn, *args):
-        future = Future()
-        future.set_result(fn(*args))
-        return future
-
-
 class TestParallelMerge:
-    @pytest.mark.parametrize("affinity", [True, False])
-    def test_pool_capped_at_usable_cpus(self, monkeypatch, affinity):
-        seen = []
-        monkeypatch.setattr(harness, "ProcessPoolExecutor",
-                            lambda max_workers: _InlinePool(seen, max_workers))
-        if affinity:
-            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-        else:
-            monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-            monkeypatch.setattr(os, "cpu_count", lambda: 3)
-        points = [(1.0, 0.5)]
-        par = mc_joint_pmf_grid(PARAMS, points, 2, 2, 20_000, seed=4, n_workers=5,
-                                parallel=True)
-        assert seen == [2 if affinity else 3]
-        assert np.array_equal(par, mc_joint_pmf_grid(PARAMS, points, 2, 2, 20_000, seed=4,
-                                                     n_workers=5))
-
-
     def test_four_worker_merge_equals_manual_pooling(self):
         points = [(1.0, 0.8)]
         n_samples = 40_000
