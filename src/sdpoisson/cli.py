@@ -2,8 +2,11 @@
 
 Output conventions: CSV files carry a header row, comma separators, '.'
 decimals with 17 significant digits, UTF-8 and LF line endings; JSON
-files hold a single object with "config", "results" and "checks" keys.
-All commands are deterministic for a fixed seed.
+files hold a single object with "config", "results" and "checks" keys,
+compact on one line with sorted keys (``python -m json.tool`` pretty-prints
+it).  Rows are written a chunk at a time, so the peak memory of
+``simulate`` is its numpy columns, not Python row objects.  All commands
+are deterministic for a fixed seed.
 
 Exit codes: 0 success (verify: all checks pass), 1 runtime failure or any
 failed check, 2 any inconclusive check, 64 usage error (bad flags or
@@ -82,29 +85,77 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EX_USAGE, f"{self.prog}: usage error: {message}\n")
 
 
+# Rows converted to Python objects at a time: large enough that each
+# chunk's formatting runs at C speed, small enough that a writer's peak
+# memory is the numpy columns, not their rows.
+_CHUNK_ROWS = 8192
+
+
+class _Columns(tuple):
+    """Equal-length numpy columns, written one row per index, in order."""
+
+
+def _row_chunks(rows):
+    # Lists of rows: a _Columns value converts _CHUNK_ROWS rows at a time
+    # with .tolist(); any other iterable of rows is one chunk.
+    if not isinstance(rows, _Columns):
+        yield rows
+        return
+    for start in range(0, len(rows[0]), _CHUNK_ROWS):
+        yield list(zip(*(col[start:start + _CHUNK_ROWS].tolist() for col in rows)))
+
+
 def _write_csv(path: Path, header: list[str], rows) -> None:
     # Floats as %.17g (round-trip exact), everything else as str(); each
     # row is formatted by one %-template, built once per distinct tuple of
-    # cell types.
+    # cell types.  Lines are written a chunk of rows at a time.
     templates: dict[tuple, str] = {}
-    lines = [",".join(header)]
-    for row in rows:
-        row = tuple(row)
-        types = tuple(map(type, row))
-        template = templates.get(types)
-        if template is None:
-            template = templates[types] = ",".join(
-                "%.17g" if issubclass(t, float) else "%s" for t in types
-            )
-        lines.append(template % row)
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+    with path.open("w", encoding="utf-8", newline="\n") as fh:
+        fh.write(",".join(header) + "\n")
+        for chunk in _row_chunks(rows):
+            lines = []
+            for row in chunk:
+                row = tuple(row)
+                types = tuple(map(type, row))
+                template = templates.get(types)
+                if template is None:
+                    template = templates[types] = ",".join(
+                        "%.17g" if issubclass(t, float) else "%s" for t in types
+                    ) + "\n"
+                lines.append(template % row)
+            fh.write("".join(lines))
+
+
+def _dumps(value) -> str:
+    # The C encoder (no indent); NaN and infinity are not JSON.
+    return json.dumps(value, sort_keys=True, allow_nan=False)
+
+
+def _json_pieces(value):
+    # The text of _dumps(value) in pieces: dicts are walked key by key, a
+    # _Columns value is one array streamed a chunk of rows at a time, and
+    # everything else is encoded whole.
+    if isinstance(value, _Columns):
+        yield "["
+        for i, chunk in enumerate(_row_chunks(value)):
+            yield (", " if i else "") + _dumps(chunk)[1:-1]
+        yield "]"
+    elif isinstance(value, dict):
+        yield "{"
+        for i, key in enumerate(sorted(value)):
+            yield (", " if i else "") + _dumps(key) + ": "
+            yield from _json_pieces(value[key])
+        yield "}"
+    else:
+        yield _dumps(value)
 
 
 def _write_json(path: Path, config: RunConfig, results: dict, checks: list) -> None:
+    # Exactly json.dumps(payload, sort_keys=True) + "\n": compact, one line.
     payload = {"config": config.to_dict(), "results": results, "checks": checks}
-    path.write_text(
-        json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8", newline="\n"
-    )
+    with path.open("w", encoding="utf-8", newline="\n") as fh:
+        fh.writelines(_json_pieces(payload))
+        fh.write("\n")
 
 
 def _read_config_file(path: str) -> dict:
@@ -211,6 +262,12 @@ def _out_path(config: RunConfig, suffix: str = "", ext: str | None = None) -> Pa
     return parent / f"{stem}{suffix}.{ext}"
 
 
+def _sample_corr(u: np.ndarray, v: np.ndarray) -> float | None:
+    # Pearson correlation; None (JSON null) where it is undefined, below
+    # 2 renewals.
+    return float(np.corrcoef(u, v)[0, 1]) if len(u) >= 2 else None
+
+
 def cmd_simulate(config: RunConfig) -> int:
     params = ModelParams(lam=config.lam, mu=config.mu, a=config.a)
     n = config.options["n"]
@@ -219,7 +276,7 @@ def cmd_simulate(config: RunConfig) -> int:
     t_arr, s_arr = path.t_arrivals, path.s_arrivals
     t_n, s_n = t_arr[1:], s_arr[1:]
     k = np.arange(1, n + 1)
-    columns = (k, x, y, t_n, s_n, t_n - k / params.lam, s_n - k / params.mu)
+    renewals = _Columns((k, x, y, t_n, s_n, t_n - k / params.lam, s_n - k / params.mu))
 
     # Compensated traces sampled at the merged jump times of both chains,
     # cut below the shorter horizon so no count is censored.
@@ -228,29 +285,26 @@ def cmd_simulate(config: RunConfig) -> int:
     times = np.sort(times[times < horizon])
     n_at = np.searchsorted(t_arr, times, side="right") - 1
     m_at = np.searchsorted(s_arr, times, side="right") - 1
-    n_comp = n_at - params.lam * times
-    m_comp = m_at - params.mu * times
+    compensated = _Columns((times, n_at - params.lam * times, m_at - params.mu * times))
 
     results = {
         "n_renewals": n,
-        "sample_corr_xy": float(np.corrcoef(x, y)[0, 1]),
-        "sample_corr_xz": float(np.corrcoef(x, z)[0, 1]),
+        "sample_corr_xy": _sample_corr(x, y),
+        "sample_corr_xz": _sample_corr(x, z),
         "final_t": float(t_arr[-1]),
         "final_s": float(s_arr[-1]),
     }
-    renewal_rows = list(zip(*(col.tolist() for col in columns)))
-    comp_rows = list(zip(times.tolist(), n_comp.tolist(), m_comp.tolist()))
     if config.fmt == "json":
-        results |= {"renewals": renewal_rows, "compensated": comp_rows}
+        results |= {"renewals": renewals, "compensated": compensated}
         _write_json(_out_path(config), config, results, [])
     else:
         _write_csv(
             _out_path(config), ["k", "x", "y", "t_n", "s_n", "t_centered", "s_centered"],
-            renewal_rows,
+            renewals,
         )
         _write_csv(
             _out_path(config, "_compensated"), ["time", "n_compensated", "m_compensated"],
-            comp_rows,
+            compensated,
         )
         _write_json(_out_path(config, "_summary", ext="json"), config, results, [])
     return EX_OK
@@ -289,13 +343,15 @@ def cmd_table(config: RunConfig) -> int:
         }
         _write_json(_out_path(config), config, results, [])
         return EX_OK
-    n_cols = range(opt["n_max"] + 1)
-    header = ["m"] + [f"p_{n}" for n in n_cols] + ["row_sum", "poisson_row"]
-    matrix = np.column_stack([table.values, table.row_sums, table.poisson_row])
-    _write_csv(_out_path(config), header, ((m, *row) for m, row in enumerate(matrix.tolist())))
+    m_idx, n_idx = np.arange(opt["m_max"] + 1), np.arange(opt["n_max"] + 1)
+    header = ["m"] + [f"p_{n}" for n in n_idx] + ["row_sum", "poisson_row"]
+    _write_csv(
+        _out_path(config), header,
+        _Columns((m_idx, *table.values.T, table.row_sums, table.poisson_row)),
+    )
     _write_csv(
         _out_path(config, "_colsums"), ["n", "col_sum", "poisson_col"],
-        zip(n_cols, table.col_sums.tolist(), table.poisson_col.tolist()),
+        _Columns((n_idx, table.col_sums, table.poisson_col)),
     )
     _write_json(_out_path(config, "_summary", ext="json"), config, summary, [])
     return EX_OK

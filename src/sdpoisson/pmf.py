@@ -443,12 +443,11 @@ _CLOSED = {"Q": _q_closed, "A": _a_closed, "B": _b_closed, "C": _c_closed}
 # ---------------------------------------------------------------------------
 
 
-def _scaled_integral(fn, lo: float, hi: float, tol: float, scale: float, offset: float) -> float:
-    # offset + scale * (integral of fn over [lo, hi] to absolute accuracy
-    # tol); a failure's best estimate and error bound refer to the
-    # assembled term, not the bare integral.
+def _integral(fn, lo: float, hi: float, tol: float) -> tuple[float, float]:
+    # (integral of fn over [lo, hi], its error bound), held to absolute
+    # accuracy tol where quad reaches it; the caller judges the bound.
     if hi <= lo:
-        return offset + scale * 0.0
+        return 0.0, 0.0
     value, abserr = quad(fn, lo, hi, epsabs=tol * 0.5, epsrel=1e-12, limit=200)
     if abserr > tol:
         # Long reduced intervals can stall the global refinement; a uniform
@@ -461,14 +460,7 @@ def _scaled_integral(fn, lo: float, hi: float, tol: float, scale: float, offset:
             v, e = quad(fn, left, right, epsabs=tol / (2 * pieces), epsrel=1e-12, limit=200)
             value += v
             abserr += e
-        if abserr > tol:
-            raise IntegrationError(
-                f"quadrature failed to reach tol={tol} on [{lo}, {hi}] "
-                f"(claimed error {abserr})",
-                best_estimate=offset + scale * value,
-                error_bound=abs(scale) * abserr,
-            )
-    return offset + scale * value
+    return value, abserr
 
 
 def quadrature_term(
@@ -505,9 +497,22 @@ def quadrature_term(
     lo, hi = {"A": (0.0, z), "B": (0.0, z), "Q": (0.0, y), "C": (z, y)}[term]
     atom = 0.0 if term == "C" else h.atom_weight * g(0.0)
     pim = poisson_weight(m, y - z)
-    return _scaled_integral(
-        lambda w: h.density(a * w) * g(w), lo, hi, tol, scale=pim * a, offset=pim * atom
-    )
+    integrand = lambda w: h.density(a * w) * g(w)
+    if term == "A":
+        # A's integrand does not depend on m: one quad serves every row.
+        value, abserr = _memoized(("A-integral", n, z, a, tol), _integral, integrand, lo, hi, tol)
+    else:
+        value, abserr = _integral(integrand, lo, hi, tol)
+    scale, offset = pim * a, pim * atom
+    if abserr > tol:
+        # The failure's estimate and bound refer to the assembled term.
+        raise IntegrationError(
+            f"quadrature failed to reach tol={tol} on [{lo}, {hi}] "
+            f"(claimed error {abserr})",
+            best_estimate=offset + scale * value,
+            error_bound=abs(scale) * abserr,
+        )
+    return offset + scale * value
 
 
 # ---------------------------------------------------------------------------

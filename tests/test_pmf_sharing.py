@@ -33,6 +33,7 @@ import pytest
 
 import sdpoisson.pmf as pmf
 import sdpoisson.special as special
+from sdpoisson.errors import IntegrationError
 from sdpoisson.exponential import ModelParams
 from sdpoisson.pmf import CANCEL_MAG_LIMIT, joint_pmf, pmf_table
 
@@ -170,14 +171,52 @@ class TestTableSharing:
         pmf_table(PARAMS, 1.0, 0.8, 5, 5, method="quadrature")
         assert calls and set(calls.values()) == {1}
 
+    def test_a_integral_shared_across_rows(self, monkeypatch):
+        # A's integrand h_n(a w) on [0, z] does not depend on m: one quad
+        # serves the whole column, and each row's value is the one an
+        # unshared evaluation gives, bit for bit.
+        coords = pmf.reduced_coords(ModelParams(1.0, 1.0, 0.5), 1.0, 1.6)
+        fresh = [pmf.quadrature_term("A", m, 3, coords, 0.5) for m in range(6)]
+        calls = Counter()
+        real = pmf.quad
+
+        def counted(fn, lo, hi, **kw):
+            calls[lo, hi] += 1
+            return real(fn, lo, hi, **kw)
+
+        monkeypatch.setattr(pmf, "quad", counted)
+        with pmf._shared_terms():
+            shared = [pmf.quadrature_term("A", m, 3, coords, 0.5) for m in range(6)]
+        assert shared == fresh
+        assert sum(calls.values()) == 1
+
+    def test_shared_a_failure_carries_each_rows_estimate(self):
+        # A memoized integral that misses its tolerance still raises per
+        # row, with the estimate and bound of that row's assembled term.
+        coords = pmf.reduced_coords(ModelParams(1.0, 1.0, 0.5), 1.0, 1.6)
+
+        def failure(m):
+            with pytest.raises(IntegrationError) as exc:
+                pmf.quadrature_term("A", m, 3, coords, 0.5, tol=1e-18)
+            return exc.value.best_estimate, exc.value.error_bound
+
+        fresh = [failure(m) for m in range(1, 4)]
+        with pmf._shared_terms():
+            shared = [failure(m) for m in range(1, 4)]
+        assert shared == fresh
+        assert len(set(shared)) == 3
+
 
 class TestKummerElementary:
     def test_agrees_with_mpmath(self):
         # Measured worst on this grid: 2.1e-12 relative, at alpha = 2,
         # beta = 37, x = 0.05, where the closed form's two terms cancel to
         # within the guard; the series alone stays within 3e-15.  The bound
-        # is the guard's documented "a few 1e-12", not a tighter one.
-        worst = 0.0
+        # is the guard's documented "a few 1e-12", not a tighter one.  The
+        # bare reduction is checked too wherever it returns a value (1 157
+        # points, worst 2.06e-12); elsewhere kummer_elementary is the series.
+        worst = worst_reduced = 0.0
+        compared = 0
         with mpmath.workdps(30):
             for beta in range(41):
                 for alpha in range(beta + 1):
@@ -185,4 +224,9 @@ class TestKummerElementary:
                         want = mpmath.hyp1f1(alpha, beta + 1, x)
                         got = special.kummer_elementary(alpha, beta, x)
                         worst = max(worst, float(abs(got - want) / want))
+                        reduced = special._kummer_reduction(alpha, beta, x) if alpha else None
+                        if reduced is not None:
+                            compared += 1
+                            worst_reduced = max(worst_reduced, float(abs(reduced - want) / want))
         assert worst <= 1e-11
+        assert compared >= 1000 and worst_reduced <= 1e-11
