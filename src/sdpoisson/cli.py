@@ -95,35 +95,30 @@ class _Columns(tuple):
     """Equal-length numpy columns, written one row per index, in order."""
 
 
-def _row_chunks(rows):
-    # Lists of rows: a _Columns value converts _CHUNK_ROWS rows at a time
-    # with .tolist(); any other iterable of rows is one chunk.
-    if not isinstance(rows, _Columns):
-        yield rows
-        return
-    for start in range(0, len(rows[0]), _CHUNK_ROWS):
-        yield list(zip(*(col[start:start + _CHUNK_ROWS].tolist() for col in rows)))
+def _row_chunks(columns: _Columns):
+    # Lists of rows, _CHUNK_ROWS at a time, converted with .tolist().
+    for start in range(0, len(columns[0]), _CHUNK_ROWS):
+        yield list(zip(*(col[start:start + _CHUNK_ROWS].tolist() for col in columns)))
+
+
+def _row_template(row: tuple) -> str:
+    # Floats as %.17g (round-trip exact), everything else as str().
+    return ",".join("%.17g" if isinstance(v, float) else "%s" for v in row) + "\n"
 
 
 def _write_csv(path: Path, header: list[str], rows) -> None:
-    # Floats as %.17g (round-trip exact), everything else as str(); each
-    # row is formatted by one %-template, built once per distinct tuple of
-    # cell types.  Lines are written a chunk of rows at a time.
-    templates: dict[tuple, str] = {}
+    # Each column of a _Columns value converts to one Python type, so the
+    # first row of a chunk gives the %-template for all of it, and lines are
+    # written a chunk at a time.  A row of any other iterable may have cell
+    # types of its own and is formatted by its own template.
     with path.open("w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        for chunk in _row_chunks(rows):
-            lines = []
-            for row in chunk:
-                row = tuple(row)
-                types = tuple(map(type, row))
-                template = templates.get(types)
-                if template is None:
-                    template = templates[types] = ",".join(
-                        "%.17g" if issubclass(t, float) else "%s" for t in types
-                    ) + "\n"
-                lines.append(template % row)
-            fh.write("".join(lines))
+        if isinstance(rows, _Columns):
+            for chunk in _row_chunks(rows):
+                template = _row_template(chunk[0])
+                fh.write("".join([template % row for row in chunk]))
+        else:
+            fh.write("".join([_row_template(row) % row for row in map(tuple, rows)]))
 
 
 def _dumps(value) -> str:

@@ -23,8 +23,9 @@ Poisson CDF or a binomial tail (:func:`quadrature_term`); ``tol`` bounds
 the bare integral.  Each special function has one evaluator here: every
 Kummer value comes from the all-positive series
 :func:`~sdpoisson.special.kummer_series`, h_n and its CDF from
-:func:`~sdpoisson.special.erlang_mixture_density`, and g from scipy's
-incomplete gamma and beta functions.  The paper's finite
+:func:`~sdpoisson.special.erlang_mixture_density`, and g from the scalar
+Cython kernels of scipy's incomplete gamma and beta functions
+(``scipy.special.cython_special``).  The paper's finite
 Kummer reduction, :func:`~sdpoisson.special.kummer_elementary`, is not
 on these paths; ``sdpoisson verify`` checks it against the series.  The
 closed forms are exact but alternate in sign with
@@ -35,8 +36,9 @@ cancellation guard.  Both forms assemble p_{m,n} from the same list of
 signed terms, so every route evaluates both branches at z = 0.
 
 Within one evaluation -- one :func:`pmf_table`, or one lone
-:func:`joint_pmf` -- each telescoping term, each Kummer value and each
-mixture h_n is computed once and shared by every cell that needs it.  So
+:func:`joint_pmf` -- each telescoping term, each Kummer value, each
+mixture h_n and each node at which a quadrature reads h_n is computed
+once and shared by every cell that needs it.  So
 is each part of a closed term that does not depend on the row m: the A
 sums S^A_n, the running B sums P^B_n and the Q rows T_{j,n}, which leave
 O(m - n) work per Q term and O(1) per A or B term.  The memo holding them
@@ -45,6 +47,7 @@ is dropped when that call returns; nothing is cached across calls.
 
 from __future__ import annotations
 
+import dataclasses
 import enum
 import math
 from contextlib import contextmanager
@@ -54,7 +57,7 @@ from typing import Literal, get_args
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.special import betainc, gammaincc
+from scipy.special.cython_special import betainc, gammaincc
 
 from .errors import ConsistencyError, DomainError, IntegrationError
 from .exponential import ModelParams
@@ -108,6 +111,11 @@ TABLE_PRUNE_TOL = 1e-18
 # s = t = 5, 30 x 30 closed-form cells the deficit is 9.8e-15 against a
 # bound of 9.0e-15); pmf_table adds 4 * quad_tol per cell for quadrature.
 _DEFICIT_SLACK = 1e-12
+# Largest product pi_k(z) inner(k, n) the closed B term may drop when
+# pi_k(z) underflows to 0.  B multiplies its sum by pi_m(y - z) <= 1, so
+# with at most n + 1 dropped products the term loses under (n+1) * 1e-16;
+# a larger bound makes the term non-finite, which reroutes ``auto``.
+_B_SKIP_TOL = 1e-16
 
 
 class Region(enum.Enum):
@@ -244,9 +252,30 @@ def _betas(n: int, a: float) -> list[float]:
     return _memoized(("betas", n, a), lambda: [binom_weight(l, n, a) for l in range(n + 1)])
 
 
+class _Nodes(dict):
+    # density(x) by x, each evaluated on its first lookup.
+    def __init__(self, density):
+        super().__init__()
+        self.density = density
+
+    def __missing__(self, x):
+        value = self[x] = self.density(x)
+        return value
+
+
+def _remembered_mixture(n: int, a: float) -> AtomPlusDensity:
+    h = erlang_mixture_density(n, a)
+    return dataclasses.replace(h, density=_Nodes(h.density).__getitem__)
+
+
 def _mixture(n: int, a: float) -> AtomPlusDensity:
     # h_n (atom, density and CDF), shared by every term of one evaluation.
-    return _memoized(("mixture", n, a), erlang_mixture_density, n, a)
+    # There its density also remembers each node: the quadratures of one
+    # table ask for the same x many times over, because the terms of
+    # neighbouring cells integrate h_n on shared intervals.
+    if _MEMO.get() is None:
+        return erlang_mixture_density(n, a)
+    return _memoized(("mixture", n, a), _remembered_mixture, n, a)
 
 
 def _q_row(j: int, n: int, y: float, a: float) -> tuple[float, float]:
@@ -323,18 +352,38 @@ def _b_inner(k: int, n: int, z: float, a: float) -> float:
     return inner
 
 
+def _b_skip_log_bound(k: int, n: int, z: float, a: float) -> float:
+    # log of a bound on pi_k(z) inner(k, n) when pi_k(z) underflows: with
+    # Phi(l; k+l+1; x) <= e^x the product is at most
+    #   z^k e^(-a z) / k! * sum_l beta_l(n+1) (az)^l k!/(k+l)!,
+    # and the k! cancels.
+    log_az = math.log(a * z)
+    logs = [
+        math.log(b) + l * log_az - math.lgamma(k + l + 1)
+        for l, b in enumerate(_betas(n + 1, a)) if b > 0.0
+    ]
+    top = max(logs)
+    return k * math.log(z) - a * z + top + math.log(math.fsum(math.exp(v - top) for v in logs))
+
+
 def _b_prefix(n: int, z: float, a: float, top: int) -> float:
     # P^B_n[top] = sum_{k=0}^{top} pi_k(z) inner(k, n).  The running sums are
     # shared across m and grow on demand in increasing k, so each one is the
     # float a direct loop up to top would hold, and no inner(k, n) beyond the
-    # largest top asked for is evaluated.
+    # largest top asked for is evaluated.  A k whose pi_k(z) underflows is
+    # skipped only while the product it drops is provably below
+    # _B_SKIP_TOL; past z ~ 745 its inner(k, n) grows like e^((1-a) z) and
+    # the product need not be small, so the sum is refused (NaN) from there on.
     memo = _MEMO.get()
     sums = memo.setdefault(("B-prefix", n, z, a), []) if memo is not None else []
     total = sums[-1] if sums else 0.0
     for k in range(len(sums), top + 1):
-        pk = poisson_weight(k, z)
-        if pk != 0.0:
-            total += pk * _b_inner(k, n, z, a)
+        if not math.isnan(total):
+            pk = poisson_weight(k, z)
+            if pk != 0.0:
+                total += pk * _b_inner(k, n, z, a)
+            elif _b_skip_log_bound(k, n, z, a) > math.log(_B_SKIP_TOL):
+                total = math.nan
         sums.append(total)
     return sums[top]
 
@@ -426,7 +475,11 @@ def a_closed(m: int, n: int, coords: ReducedCoords, a: float) -> float:
 
 
 def b_closed(m: int, n: int, coords: ReducedCoords, a: float) -> float:
-    """Closed form of the B term (z >= 0 branch); requires n >= m >= 0."""
+    """Closed form of the B term (z >= 0 branch); requires n >= m >= 0.
+
+    NaN where an underflowed Poisson weight would drop mass the term cannot
+    bound (z past about 745); the quadrature form holds there.
+    """
     return _b_closed(m, n, coords.y, _term_z("B", m, n, coords), a)[0]
 
 
@@ -478,7 +531,8 @@ def quadrature_term(
     P(Poisson(z - w) <= n - m) for B, and P(Bin(m, (y-w)/(y-z)) >= n)
     for Q and C, which is their Poisson pair sum
     sum_{k=n}^{m} pi_{m-k}(w - z) pi_k(y - w) over pi_m(y - z).  g comes
-    from scipy's incomplete gamma and beta functions.  Adaptive
+    from the scalar Cython kernels of scipy's incomplete gamma and beta
+    functions (``scipy.special.cython_special``).  Adaptive
     Gauss-Kronrod quadrature holds the bare integral to absolute accuracy
     ``tol``, so the term is within a * pi_m(y - z) * tol <= tol; failure
     raises :class:`IntegrationError` carrying the best estimate of the term.
@@ -488,16 +542,21 @@ def quadrature_term(
     z = _term_z(term, m, n, coords)
     y = coords.y
     h = _mixture(n + 1 if term == "B" else n, a)
+    # The scalar kernels take doubles only; the ufuncs cast ints to double
+    # and run the same kernel, so the values are the same bits.
     if term == "B":
-        g = lambda w: float(gammaincc(n - m + 1, z - w))
+        k = float(n - m + 1)
+        g = lambda w: gammaincc(k, z - w)
     elif term == "A" or n == 0:
         g = lambda w: 1.0
     else:
-        g = lambda w: float(betainc(n, m - n + 1, (y - w) / (y - z)))
+        p, q, span = float(n), float(m - n + 1), y - z
+        g = lambda w: betainc(p, q, (y - w) / span)
     lo, hi = {"A": (0.0, z), "B": (0.0, z), "Q": (0.0, y), "C": (z, y)}[term]
     atom = 0.0 if term == "C" else h.atom_weight * g(0.0)
     pim = poisson_weight(m, y - z)
-    integrand = lambda w: h.density(a * w) * g(w)
+    density = h.density
+    integrand = lambda w: density(a * w) * g(w)
     if term == "A":
         # A's integrand does not depend on m: one quad serves every row.
         value, abserr = _memoized(("A-integral", n, z, a, tol), _integral, integrand, lo, hi, tol)

@@ -6,6 +6,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from scipy.special import betainc, cython_special, gammaincc
 
 from sdpoisson.errors import ConsistencyError, DomainError
 from sdpoisson.exponential import ModelParams
@@ -605,3 +606,38 @@ class TestLargeArguments:
         want = mp_mixture(n, 0.5, x)
         assert want > 1e-3
         assert erlang_mixture_density(n, 0.5).density(x) == pytest.approx(want, rel=1e-10)
+
+    def test_b_mass_past_the_underflow_edge_is_not_dropped(self):
+        # y = 1000, z = 990: pi_k(990) underflows to 0 for small k, while its
+        # partner inner(k, n) is of order e^(0.99 z), so the skipped product
+        # is not small.  The closed B term refuses, and auto takes quadrature.
+        params = ModelParams(1.0, 1.0, 0.01)
+        report = joint_pmf(params, 10, 10, 10.0, 10.0)
+        assert report.method_used == "quadrature"
+        assert abs(report.raw - 0.015795486771609097) <= 1e-12
+        assert math.isnan(b_closed(10, 10, reduced_coords(params, 10.0, 10.0), 0.01))
+        with pytest.raises(ConsistencyError):
+            joint_pmf(params, 10, 10, 10.0, 10.0, method="closed")
+
+    def test_table_past_the_underflow_edge_meets_its_marginal(self):
+        # B telescopes out of the total, so only the column sums see it.
+        table = pmf_table(ModelParams(1.0, 1.0, 0.01), 10.0, 10.0, 40, 40)
+        assert np.max(np.abs(table.col_sums - table.poisson_col)) <= 1e-12
+
+
+class TestScalarKernels:
+    # quadrature_term takes g from scipy's scalar Cython kernels, which take
+    # doubles; the ufuncs cast the integer parameters to double and run the
+    # same kernel.  The grids are the argument shapes its integrands pass.
+    def test_betainc_equals_the_ufunc(self):
+        xs = np.concatenate([np.geomspace(1e-12, 0.5, 20), 1.0 - np.geomspace(1e-12, 0.5, 20)])
+        for p in range(1, 61):
+            for q in range(1, 61):
+                got = [cython_special.betainc(float(p), float(q), x) for x in xs.tolist()]
+                assert np.array(got).tobytes() == betainc(p, q, xs).tobytes(), (p, q)
+
+    def test_gammaincc_equals_the_ufunc(self):
+        vs = np.concatenate([[0.0], np.geomspace(1e-6, 1000.0, 200)])
+        for k in range(1, 61):
+            got = [cython_special.gammaincc(float(k), v) for v in vs.tolist()]
+            assert np.array(got).tobytes() == gammaincc(k, vs).tobytes(), k

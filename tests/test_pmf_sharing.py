@@ -19,10 +19,11 @@ recording.  It holds
   tables, two of which trip the cancellation guard.
 
 It also checks that the sums a closed term shares across the rows m of a
-table, and each Kummer value, are evaluated once, and the closed Kummer
-reduction against mpmath.
+table, each Kummer value and each node of a mixture density are evaluated
+once, and the closed Kummer reduction against mpmath.
 """
 
+import dataclasses
 import json
 from collections import Counter
 from pathlib import Path
@@ -170,6 +171,46 @@ class TestTableSharing:
         monkeypatch.setattr(pmf, "quadrature_term", counted)
         pmf_table(PARAMS, 1.0, 0.8, 5, 5, method="quadrature")
         assert calls and set(calls.values()) == {1}
+
+    @pytest.mark.parametrize("side", SIDES)
+    def test_each_density_node_evaluated_once(self, side, monkeypatch):
+        # Every quad of a table reads h_n(x) at its nodes; a node two terms
+        # share is evaluated on the first read only.
+        nodes = Counter()
+        real = pmf.erlang_mixture_density
+
+        def counted_mixture(n, a):
+            h = real(n, a)
+
+            def density(x):
+                nodes[n, a, x] += 1
+                return h.density(x)
+
+            return dataclasses.replace(h, density=density)
+
+        monkeypatch.setattr(pmf, "erlang_mixture_density", counted_mixture)
+        s, t = SIDES[side]
+        pmf_table(PARAMS, s, t, 5, 5, method="quadrature")
+        assert nodes and set(nodes.values()) == {1}
+
+    @pytest.mark.parametrize("side", SIDES)
+    def test_lone_terms_equal_the_tables(self, side, monkeypatch):
+        # Outside a memo nothing is remembered, and the same bits come out.
+        seen = {}
+        real = pmf.quadrature_term
+
+        def recorded(term, m, n, coords, a, tol=1e-10):
+            seen[term, m, n, coords, a, tol] = value = real(term, m, n, coords, a, tol)
+            return value
+
+        monkeypatch.setattr(pmf, "quadrature_term", recorded)
+        s, t = SIDES[side]
+        pmf_table(PARAMS, s, t, 5, 5, method="quadrature")
+        assert pmf._MEMO.get() is None
+        expected = {"neg": {"Q"}, "pos": {"A", "B", "C"}, "zero": {"Q", "A", "B", "C"}}
+        assert {key[0] for key in seen} == expected[side]
+        for key, value in seen.items():
+            assert real(*key).hex() == value.hex(), key
 
     def test_a_integral_shared_across_rows(self, monkeypatch):
         # A's integrand h_n(a w) on [0, z] does not depend on m: one quad
